@@ -45,7 +45,7 @@ pub const USAGE_STATUS: i32 = 2;
 const USAGE: &str = "usage: reproduce [fig4|fig5|summary|sweep|overhead [width]|ablation-sb|\
                      ablation-recovery|ablation-formation|ablation-boosting|ablation-unroll|\
                      ablation-cache|ablation-pipeline|ablation-pressure|all] [--csv] [--jobs N] \
-                     [--engine interpreter|fast|turbo] [--verify-passes] [--cache-dir DIR]";
+                     [--engine interpreter|fast|turbo] [--verify-passes] [--cache-dir DIR] [--version] [--help]";
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -379,6 +379,10 @@ pub fn run(args: &[String]) -> i32 {
         println!("reproduce {}", env!("CARGO_PKG_VERSION"));
         return 0;
     }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return 0;
+    }
     let cli = match parse(args) {
         Ok(cli) => cli,
         Err(msg) => {
@@ -521,6 +525,12 @@ mod tests {
         assert!(parse(&args(&["--frobnicate"])).is_err());
         assert!(parse(&args(&["overhead", "notawidth"])).is_err());
         assert!(parse(&args(&["overhead", "2", "extra"])).is_err());
+    }
+
+    #[test]
+    fn help_returns_success() {
+        assert_eq!(run(&args(&["--help"])), 0);
+        assert_eq!(run(&args(&["fig4", "-h"])), 0);
     }
 
     #[test]

@@ -484,14 +484,12 @@ pub fn ablation_register_pressure(session: &GridSession) -> Vec<(String, usize, 
     let max_live = |func: &sentinel_prog::Function| -> usize {
         let cfg = Cfg::build(func);
         let lv = Liveness::compute(func, &cfg);
-        let mut max = 0usize;
-        for bid in func.layout() {
-            let n = func.block(*bid).insns.len();
-            for pos in 0..=n {
-                max = max.max(lv.live_before(func, *bid, pos).len());
-            }
-        }
-        max
+        func.layout()
+            .iter()
+            .flat_map(|&bid| lv.live_before_each(func, bid))
+            .map(|live| live.len())
+            .max()
+            .unwrap_or(0)
     };
 
     parallel_map(session.jobs(), session.workloads(), |w| {

@@ -17,6 +17,7 @@
 //!   into its home block.
 
 use sentinel_isa::{Insn, MachineDesc, Opcode, Reg};
+use sentinel_prog::regset::RegSlots;
 use sentinel_prog::Block;
 
 /// Edge classification.
@@ -117,7 +118,7 @@ impl MemRef {
     }
 }
 
-fn mem_ref(insn: &Insn, versions: &std::collections::HashMap<Reg, u32>) -> Option<MemRef> {
+fn mem_ref(insn: &Insn, slots: &RegSlots, versions: &[u32]) -> Option<MemRef> {
     if !insn.op.is_mem() {
         return None;
     }
@@ -128,7 +129,7 @@ fn mem_ref(insn: &Insn, versions: &std::collections::HashMap<Reg, u32>) -> Optio
     };
     Some(MemRef {
         base,
-        base_version: versions.get(&base).copied().unwrap_or(0),
+        base_version: versions[slots.slot(base)],
         offset: insn.imm,
         bytes,
     })
@@ -173,21 +174,23 @@ impl DepGraph {
         let _ = recovery;
 
         // --- register dependences -------------------------------------
-        use std::collections::HashMap;
-        let mut last_def: HashMap<Reg, usize> = HashMap::new();
-        let mut readers_since_def: HashMap<Reg, Vec<usize>> = HashMap::new();
-        let mut versions: HashMap<Reg, u32> = HashMap::new();
+        // Per-register state, indexed by the block's register slots.
+        let slots = RegSlots::of_insns(&block.insns);
+        let mut last_def: Vec<Option<usize>> = vec![None; slots.len()];
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); slots.len()];
+        let mut versions: Vec<u32> = vec![0; slots.len()];
         // Memory state.
         let mut last_store: Option<usize> = None;
         let mut stores_since: Vec<(usize, Option<MemRef>)> = Vec::new(); // all stores, for alias-refined edges
         let mut loads_since_store: Vec<(usize, Option<MemRef>)> = Vec::new();
-        // Barrier state.
-        let mut last_barrier: Option<usize> = None;
+        // The last node every earlier node is ordered before.
+        let mut fence = 0usize;
 
         for (i, insn) in block.insns.iter().enumerate() {
             // Flow: last def of each source.
             for src in insn.uses() {
-                if let Some(&d) = last_def.get(&src) {
+                let s = slots.slot(src);
+                if let Some(d) = last_def[s] {
                     let lat = mdes.latency(block.insns[d].op);
                     g.add_edge(Dep {
                         from: d,
@@ -196,11 +199,12 @@ impl DepGraph {
                         kind: DepKind::Flow,
                     });
                 }
-                readers_since_def.entry(src).or_default().push(i);
+                readers[s].push(i);
             }
             if let Some(d) = insn.def() {
+                let s = slots.slot(d);
                 // Output: previous def of the same register.
-                if let Some(&p) = last_def.get(&d) {
+                if let Some(p) = last_def[s] {
                     let lp = mdes.latency(block.insns[p].op) as i64;
                     let li = mdes.latency(insn.op) as i64;
                     let lat = (lp - li + 1).max(1) as u32;
@@ -212,25 +216,23 @@ impl DepGraph {
                     });
                 }
                 // Anti: readers of the old value.
-                if let Some(rs) = readers_since_def.get(&d) {
-                    for &r in rs {
-                        if r != i {
-                            g.add_edge(Dep {
-                                from: r,
-                                to: i,
-                                latency: 0,
-                                kind: DepKind::Anti,
-                            });
-                        }
+                for &r in &readers[s] {
+                    if r != i {
+                        g.add_edge(Dep {
+                            from: r,
+                            to: i,
+                            latency: 0,
+                            kind: DepKind::Anti,
+                        });
                     }
                 }
-                last_def.insert(d, i);
-                readers_since_def.insert(d, Vec::new());
-                *versions.entry(d).or_insert(0) += 1;
+                last_def[s] = Some(i);
+                readers[s].clear();
+                versions[s] += 1;
             }
 
             // --- memory ordering ---------------------------------------
-            let mref = mem_ref(insn, &versions);
+            let mref = mem_ref(insn, &slots, &versions);
             if insn.op.is_load() {
                 // Flow from possibly-aliasing earlier stores.
                 for &(s, sref) in &stores_since {
@@ -277,9 +279,15 @@ impl DepGraph {
             }
 
             // --- control and barriers ----------------------------------
-            if insn.op.is_cond_branch() {
-                // Nothing may move down past a branch…
-                for j in 0..i {
+            let is_fence = insn.op.is_cond_branch()
+                || matches!(insn.op, Opcode::Jump | Opcode::Halt)
+                || insn.op.is_irreversible();
+            if is_fence {
+                // Nothing may move down past a branch, jump, halt or
+                // barrier. Nodes above the previous fence already reach
+                // it through its own order edges (all of latency 0), so
+                // the edges start there.
+                for j in fence..i {
                     g.add_edge(Dep {
                         from: j,
                         to: i,
@@ -287,7 +295,10 @@ impl DepGraph {
                         kind: DepKind::Order,
                     });
                 }
-                // …and moving *up* past it is speculation: removable edges.
+                fence = i;
+            }
+            if insn.op.is_cond_branch() {
+                // Moving *up* past a branch is speculation: removable edges.
                 for j in i + 1..n {
                     g.add_edge(Dep {
                         from: i,
@@ -296,35 +307,11 @@ impl DepGraph {
                         kind: DepKind::Control,
                     });
                 }
-            } else if matches!(insn.op, Opcode::Jump | Opcode::Halt) {
-                for j in 0..i {
-                    g.add_edge(Dep {
-                        from: j,
-                        to: i,
-                        latency: 0,
-                        kind: DepKind::Order,
-                    });
-                }
-                for j in i + 1..n {
-                    g.add_edge(Dep {
-                        from: i,
-                        to: j,
-                        latency: 0,
-                        kind: DepKind::Order,
-                    });
-                }
-            } else if insn.op.is_irreversible() {
-                // Opaque call / I/O: a full scheduling barrier (sound for
+            } else if is_fence {
+                // Nothing moves up past a jump or halt either, nor past an
+                // opaque call / I/O: a full scheduling barrier (sound for
                 // unknown memory and side effects; subsumes §3.7
                 // restriction 1).
-                for j in 0..i {
-                    g.add_edge(Dep {
-                        from: j,
-                        to: i,
-                        latency: 0,
-                        kind: DepKind::Order,
-                    });
-                }
                 for j in i + 1..n {
                     g.add_edge(Dep {
                         from: i,
@@ -333,10 +320,6 @@ impl DepGraph {
                         kind: DepKind::Order,
                     });
                 }
-            }
-            let _ = &last_barrier;
-            if insn.op.is_irreversible() {
-                last_barrier = Some(i);
             }
         }
         g
@@ -386,10 +369,19 @@ impl DepGraph {
     /// Removes the control edge `branch → to`, returning `true` if one
     /// existed.
     pub fn remove_control_edge(&mut self, branch: usize, to: usize) -> bool {
-        let before = self.succs[branch].len();
-        self.succs[branch].retain(|e| !(e.to == to && e.kind == DepKind::Control));
-        self.preds[to].retain(|e| !(e.from == branch && e.kind == DepKind::Control));
-        self.succs[branch].len() != before
+        let Some(s) = self.succs[branch]
+            .iter()
+            .position(|e| e.to == to && e.kind == DepKind::Control)
+        else {
+            return false;
+        };
+        self.succs[branch].remove(s);
+        let p = self.preds[to]
+            .iter()
+            .position(|e| e.from == branch && e.kind == DepKind::Control)
+            .expect("pred mirror");
+        self.preds[to].remove(p);
+        true
     }
 
     /// Successor edges of a node.

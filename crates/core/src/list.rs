@@ -22,8 +22,6 @@
 //! inputs (restriction 4's dynamic half) and every later same-region
 //! store.
 
-use std::collections::HashMap;
-
 use sentinel_isa::{Insn, InsnId, MachineDesc, Opcode};
 
 use crate::depgraph::{is_region_delimiter, Dep, DepGraph, DepKind};
@@ -94,10 +92,8 @@ pub fn schedule_block(
     // Priorities: critical-path heights over the reduced graph.
     let mut priority: Vec<u64> = g.heights(|i| mdes.latency(i.op));
 
-    // Scheduling state (grows when sentinels are inserted).
-    let mut sched: Vec<Option<u64>> = vec![None; g.len()];
-    let mut earliest: Vec<u64> = vec![0; g.len()];
-    let mut pending: Vec<usize> = (0..g.len()).map(|i| g.preds(i).len()).collect();
+    let mut st = IssueState::new(g);
+    let branches = g.branch_positions();
 
     let mut linear: Vec<usize> = Vec::new();
     let mut cycle: u64 = 0;
@@ -110,10 +106,10 @@ pub fn schedule_block(
 
     while remaining > 0 {
         // Pick the best ready node at the current cycle.
-        let mut best: Option<usize> = None;
+        let mut best: Option<(usize, usize)> = None;
         if slots < mdes.issue_width() {
-            for i in 0..g.len() {
-                if sched[i].is_some() || pending[i] != 0 || earliest[i] > cycle {
+            for (k, &i) in st.ready.iter().enumerate() {
+                if st.earliest[i] > cycle {
                     continue;
                 }
                 let is_branch = g.nodes[i].insn.op.class() == sentinel_isa::OpClass::Branch;
@@ -122,7 +118,7 @@ pub fn schedule_block(
                 }
                 let better = match best {
                     None => true,
-                    Some(b) => {
+                    Some((_, b)) => {
                         // Priority first; on ties prefer non-branches (a
                         // branch buys nothing by issuing early on the
                         // fall-through path, and deferring it exposes
@@ -141,16 +137,17 @@ pub fn schedule_block(
                     }
                 };
                 if better {
-                    best = Some(i);
+                    best = Some((k, i));
                 }
             }
         }
 
-        let Some(node) = best else {
+        let Some((k, node)) = best else {
             // Advance to the next time anything could issue.
-            let next = (0..g.len())
-                .filter(|&i| sched[i].is_none() && pending[i] == 0)
-                .map(|i| earliest[i].max(cycle + 1))
+            let next = st
+                .ready
+                .iter()
+                .map(|&i| st.earliest[i].max(cycle + 1))
                 .min();
             match next {
                 Some(c) => {
@@ -168,7 +165,8 @@ pub fn schedule_block(
         };
 
         // Issue `node` at `cycle`.
-        sched[node] = Some(cycle);
+        st.ready.swap_remove(k);
+        st.sched[node] = Some(cycle);
         linear.push(node);
         remaining -= 1;
         slots += 1;
@@ -179,8 +177,10 @@ pub fn schedule_block(
         // Sentinel hook: did this original instruction move above a branch?
         let mut inserted: Option<usize> = None;
         if let Some(p) = g.nodes[node].orig_pos {
-            let crossed = (0..orig_n)
-                .filter(|&b| b < p && g.nodes[b].insn.op.is_cond_branch() && sched[b].is_none())
+            let crossed = branches
+                .iter()
+                .take_while(|&&b| b < p)
+                .filter(|&&b| st.sched[b].is_none())
                 .count();
             let moved_above = crossed > 0;
             if moved_above && g.nodes[node].insn.op.may_be_speculative() {
@@ -208,20 +208,15 @@ pub fn schedule_block(
                         Insn::check_exception(d).with_id(fresh_id())
                     };
                     let j = g.add_node(sentinel_insn);
-                    sched.push(None);
-                    earliest.push(0);
-                    pending.push(0);
+                    st.add_node();
                     remaining += 1;
                     if is_store {
                         confirm_of_store.push((j, node));
                     }
 
                     // Flow: sentinel reads the result / follows the insert.
-                    add_live_edge(
+                    st.add_edge(
                         g,
-                        &mut sched,
-                        &mut earliest,
-                        &mut pending,
                         Dep {
                             from: node,
                             to: j,
@@ -235,11 +230,8 @@ pub fn schedule_block(
                         .rev()
                         .find(|&d| is_region_delimiter(g.nodes[d].insn.op, opts.recovery))
                     {
-                        add_live_edge(
+                        st.add_edge(
                             g,
-                            &mut sched,
-                            &mut earliest,
-                            &mut pending,
                             Dep {
                                 from: prev,
                                 to: j,
@@ -251,11 +243,8 @@ pub fn schedule_block(
                     // …and before the delimiter that ends it.
                     let re = g.region_end(p, opts.recovery);
                     if re < orig_n {
-                        add_live_edge(
+                        st.add_edge(
                             g,
-                            &mut sched,
-                            &mut earliest,
-                            &mut pending,
                             Dep {
                                 from: j,
                                 to: re,
@@ -277,7 +266,7 @@ pub fn schedule_block(
                             .flat_map(|q| g.nodes[q].insn.uses().collect::<Vec<_>>())
                             .collect();
                         for x in p + 1..span_end {
-                            if sched[x].is_some() || x == node {
+                            if st.sched[x].is_some() || x == node {
                                 continue;
                             }
                             let clobbers = g.nodes[x]
@@ -286,11 +275,8 @@ pub fn schedule_block(
                                 .is_some_and(|d| span_inputs.contains(&d));
                             let is_store_x = g.nodes[x].insn.op.is_store();
                             if clobbers || is_store_x {
-                                add_live_edge(
+                                st.add_edge(
                                     g,
-                                    &mut sched,
-                                    &mut earliest,
-                                    &mut pending,
                                     Dep {
                                         from: j,
                                         to: x,
@@ -308,19 +294,24 @@ pub fn schedule_block(
         let _ = inserted;
 
         // Release successors.
-        for e in g.succs(node).to_vec() {
-            earliest[e.to] = earliest[e.to].max(cycle + e.latency as u64);
-            pending[e.to] -= 1;
+        for e in g.succs(node) {
+            st.earliest[e.to] = st.earliest[e.to].max(cycle + e.latency as u64);
+            st.pending[e.to] -= 1;
+            if st.pending[e.to] == 0 && st.sched[e.to].is_none() {
+                st.ready.push(e.to);
+            }
         }
     }
 
     // --- post-pass: confirm_store indices + separation constraint -------
-    let pos_in_linear: HashMap<usize, usize> =
-        linear.iter().enumerate().map(|(k, &n)| (n, k)).collect();
+    let mut pos_in_linear = vec![0; g.len()];
+    for (k, &n) in linear.iter().enumerate() {
+        pos_in_linear[n] = k;
+    }
     let mut violating_stores: Vec<InsnId> = Vec::new();
     for &(confirm, store) in &confirm_of_store {
-        let s = pos_in_linear[&store];
-        let c = pos_in_linear[&confirm];
+        let s = pos_in_linear[store];
+        let c = pos_in_linear[confirm];
         debug_assert!(s < c, "confirm after its store");
         let between = linear[s + 1..c]
             .iter()
@@ -336,7 +327,7 @@ pub fn schedule_block(
         return Err(ScheduleError::StoreSeparation(violating_stores));
     }
 
-    let cycles: Vec<u64> = linear.iter().map(|&n| sched[n].unwrap()).collect();
+    let cycles: Vec<u64> = linear.iter().map(|&n| st.sched[n].unwrap()).collect();
     stats.cycles = cycles.last().map_or(0, |c| c + 1);
     let insns: Vec<Insn> = linear.iter().map(|&n| g.nodes[n].insn.clone()).collect();
     Ok(BlockSchedule {
@@ -351,25 +342,55 @@ fn buffer_store(op: &Opcode) -> bool {
     op.is_store() && *op != Opcode::StTag
 }
 
-/// Adds an edge during scheduling, keeping `earliest`/`pending` coherent
-/// whether or not the source is already scheduled.
-fn add_live_edge(
-    g: &mut DepGraph,
-    sched: &mut [Option<u64>],
-    earliest: &mut [u64],
-    pending: &mut [usize],
-    dep: Dep,
-) {
-    match sched[dep.from] {
-        Some(c) => {
-            earliest[dep.to] = earliest[dep.to].max(c + dep.latency as u64);
-            // Do not add a graph edge for an already-issued source: the
-            // constraint is fully captured by `earliest`, and a graph edge
-            // would double-decrement `pending`.
+/// Per-node issue state; grows when sentinels are inserted.
+struct IssueState {
+    /// Issue cycle of each issued node.
+    sched: Vec<Option<u64>>,
+    /// Earliest cycle the issued predecessors allow.
+    earliest: Vec<u64>,
+    /// Predecessors not yet issued.
+    pending: Vec<usize>,
+    /// Exactly the unissued nodes with no pending predecessor, in no
+    /// particular order (the pick takes the minimum of a total order).
+    ready: Vec<usize>,
+}
+
+impl IssueState {
+    fn new(g: &DepGraph) -> IssueState {
+        let pending: Vec<usize> = (0..g.len()).map(|i| g.preds(i).len()).collect();
+        IssueState {
+            sched: vec![None; g.len()],
+            earliest: vec![0; g.len()],
+            ready: (0..g.len()).filter(|&i| pending[i] == 0).collect(),
+            pending,
         }
-        None => {
-            g.add_edge(dep);
-            pending[dep.to] += 1;
+    }
+
+    /// Tracks a node just added to the graph (no edges yet).
+    fn add_node(&mut self) {
+        self.ready.push(self.sched.len());
+        self.sched.push(None);
+        self.earliest.push(0);
+        self.pending.push(0);
+    }
+
+    /// Adds an edge during scheduling, keeping `earliest`/`pending`
+    /// coherent whether or not the source is already scheduled.
+    fn add_edge(&mut self, g: &mut DepGraph, dep: Dep) {
+        match self.sched[dep.from] {
+            Some(c) => {
+                self.earliest[dep.to] = self.earliest[dep.to].max(c + dep.latency as u64);
+                // Do not add a graph edge for an already-issued source:
+                // the constraint is fully captured by `earliest`, and a
+                // graph edge would double-decrement `pending`.
+            }
+            None => {
+                g.add_edge(dep);
+                self.pending[dep.to] += 1;
+                if let Some(k) = self.ready.iter().position(|&r| r == dep.to) {
+                    self.ready.swap_remove(k);
+                }
+            }
         }
     }
 }

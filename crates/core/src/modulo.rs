@@ -659,7 +659,7 @@ pub fn pipeline_while_loop(
     // be speculatable and its result dead at the exit.
     let cfg = sentinel_prog::cfg::Cfg::build(func);
     let lv = sentinel_prog::liveness::Liveness::compute(func, &cfg);
-    let exit_live = lv.live_in(shape.exit).clone();
+    let exit_live = lv.live_in(shape.exit);
     for (k, insn) in shape.body.iter().enumerate() {
         if sigma[k] / ii >= test_stage {
             continue;
@@ -668,13 +668,13 @@ pub fn pipeline_while_loop(
             return None;
         }
         if let Some(d) = insn.def() {
-            if exit_live.contains(&d) {
+            if exit_live.contains(d) {
                 return None;
             }
         }
     }
     // Abandoned pointer bumps: the exit sees over-advanced pointers.
-    if bump_of.keys().any(|r| exit_live.contains(r)) {
+    if bump_of.keys().any(|&r| exit_live.contains(r)) {
         return None;
     }
 

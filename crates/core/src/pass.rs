@@ -21,7 +21,8 @@ use std::time::Duration;
 
 use sentinel_isa::{BlockId, InsnId, MachineDesc};
 use sentinel_prog::cfg::Cfg;
-use sentinel_prog::liveness::{Liveness, RegSet};
+use sentinel_prog::liveness::Liveness;
+use sentinel_prog::regset::RegSet;
 use sentinel_prog::Function;
 use sentinel_trace::IrDelta;
 
@@ -61,9 +62,14 @@ pub struct PassCtx<'a> {
     pub opts: &'a SchedOptions,
     /// The function being rewritten (clone of `input`).
     pub func: Function,
-    /// Registers live into the input's entry block (recorded before any
-    /// rewriting; `verify_ir` checks no pass introduces new ones).
-    pub entry_live_in: RegSet,
+    /// Whether the session checks the IR between passes (see
+    /// [`CompileSession::verifies`](crate::CompileSession::verifies)).
+    pub verify: bool,
+    /// Registers live into the input's entry block, recorded by
+    /// `superblock-prep` before any rewriting, in verifying sessions
+    /// only: its one reader is `verify_ir`'s check that no pass
+    /// introduces new ones.
+    pub entry_live_in: Option<RegSet>,
     /// Control-flow graph of `func` (computed by the `liveness` pass).
     pub cfg: Option<Cfg>,
     /// Live-variable analysis of `func` (computed by the `liveness` pass).
@@ -98,7 +104,8 @@ impl<'a> PassCtx<'a> {
             mdes,
             opts,
             func: Function::new(input.name()),
-            entry_live_in: RegSet::default(),
+            verify: false,
+            entry_live_in: None,
             cfg: None,
             liveness: None,
             pinned: HashSet::new(),

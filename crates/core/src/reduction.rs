@@ -114,7 +114,7 @@ pub fn reduce_with_pins(
 
     // --- protected/unprotected marking (Appendix) ----------------------
     for i in 0..n {
-        let insn = g.nodes[i].insn.clone();
+        let insn = &g.nodes[i].insn;
         let carrier = duty[i];
         let trapping = insn.op.can_trap();
         if !(carrier || trapping) {
@@ -153,8 +153,8 @@ pub fn reduce_with_pins(
     // --- control-dependence removal -------------------------------------
     let branches = g.branch_positions();
     for i in 0..n {
-        let insn = g.nodes[i].insn.clone();
-        if pinned[i] || !opts.model.may_speculate(insn.op) {
+        let (op, def) = (g.nodes[i].insn.op, g.nodes[i].insn.def());
+        if pinned[i] || !opts.model.may_speculate(op) {
             continue;
         }
         for &b in branches.iter().filter(|&&b| b < i) {
@@ -170,9 +170,9 @@ pub fn reduce_with_pins(
             // Restriction (1): dest not live when the branch is taken.
             // (Boosting enforces neither restriction: the shadow register
             // file discards wrong-path writes.)
-            if let Some(d) = insn.def() {
+            if let Some(d) = def {
                 if opts.model.enforces_liveness_restriction()
-                    && liveness.live_in(target).contains(&d)
+                    && liveness.live_in(target).contains(d)
                 {
                     continue;
                 }
@@ -185,7 +185,7 @@ pub fn reduce_with_pins(
                         continue;
                     }
                 }
-            } else if !opts.model.speculative_stores() && insn.op.is_store() {
+            } else if !opts.model.speculative_stores() && op.is_store() {
                 continue;
             }
             if g.remove_control_edge(b, i) {

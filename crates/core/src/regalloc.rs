@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use sentinel_isa::{BlockId, Insn, Opcode, Reg, RegClass};
 use sentinel_prog::cfg::Cfg;
 use sentinel_prog::liveness::Liveness;
+use sentinel_prog::regset::RegSet;
 use sentinel_prog::Function;
 
 use crate::depgraph::is_region_delimiter;
@@ -188,19 +189,13 @@ fn collect_ranges(func: &Function, block: BlockId, opts: &AllocOptions) -> Vec<V
         .collect()
 }
 
-/// Is architectural register `a` free over `[start, end]` of `block`?
-fn arch_reg_free(
-    func: &Function,
-    lv: &Liveness,
-    block: BlockId,
-    a: Reg,
-    start: usize,
-    end: usize,
-) -> bool {
-    let insns = &func.block(block).insns;
+/// Is architectural register `a` free over `[start, end]` of `insns`,
+/// given the registers live before each position (`live`, from
+/// [`Liveness::live_before_each`])?
+fn arch_reg_free(insns: &[Insn], live: &[RegSet], a: Reg, start: usize, end: usize) -> bool {
     #[allow(clippy::needless_range_loop)]
     for p in start..=end.min(insns.len().saturating_sub(1)) {
-        if lv.live_before(func, block, p).contains(&a) {
+        if live[p].contains(a) {
             return false;
         }
         if insns[p].def() == Some(a) || insns[p].uses().any(|u| u == a) {
@@ -209,13 +204,7 @@ fn arch_reg_free(
     }
     // Also: `a` must not be live immediately after the range (we would
     // clobber a value needed later).
-    if lv
-        .live_before(func, block, (end + 1).min(insns.len()))
-        .contains(&a)
-    {
-        return false;
-    }
-    true
+    !live[(end + 1).min(insns.len())].contains(a)
 }
 
 /// Allocates all virtual registers of a scheduled function, in place.
@@ -271,12 +260,12 @@ pub fn allocate_registers(
         // each block's rewrites (cheap at our scale, and keeps the
         // analysis exact in the presence of spill code).
         loop {
-            let cfg = Cfg::build(func);
-            let lv = Liveness::compute(func, &cfg);
             let mut ranges = collect_ranges(func, bid, opts);
             if ranges.is_empty() {
                 break;
             }
+            let cfg = Cfg::build(func);
+            let live = Liveness::compute(func, &cfg).live_before_each(func, bid);
             // Allocate the earliest-defined range first.
             ranges.sort_by_key(|r| r.def);
             let vr = ranges.remove(0);
@@ -290,7 +279,7 @@ pub fn allocate_registers(
                     RegClass::Fp => Reg::fp(i),
                 })
                 .filter(|a| !reserved.contains(a))
-                .find(|a| arch_reg_free(func, &lv, bid, *a, vr.def, vr.end));
+                .find(|a| arch_reg_free(&func.block(bid).insns, &live, *a, vr.def, vr.end));
             match candidate {
                 Some(a) => {
                     rewrite_range(func, bid, &vr, a);

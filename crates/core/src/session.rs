@@ -187,6 +187,7 @@ impl<'a> CompileSession<'a> {
 
         let opts = self.opts.clone();
         let mut ctx = PassCtx::new(self.func, self.mdes, &opts);
+        ctx.verify = self.verify;
 
         self.run_pass(&mut ctx, &mut ValidateInput)?;
         self.run_pass(&mut ctx, &mut SuperblockPrep)?;
@@ -246,11 +247,12 @@ impl<'a> CompileSession<'a> {
         ctx: &mut PassCtx<'_>,
         pass: &mut dyn Pass,
     ) -> Result<(), ScheduleError> {
-        let before = IrSnapshot::of(&ctx.func);
+        // An analysis pass leaves the IR as it found it: no delta to count.
+        let before = pass.mutates_ir().then(|| IrSnapshot::of(&ctx.func));
         let t0 = Instant::now();
         let result = pass.run(ctx);
         let wall = t0.elapsed();
-        let delta = before.delta_to(IrSnapshot::of(&ctx.func));
+        let delta = before.map_or_else(IrDelta::default, |b| b.delta_to(IrSnapshot::of(&ctx.func)));
         let diags = std::mem::take(&mut ctx.diagnostics);
         self.emit(pass.name(), wall, delta, diags);
         result?;
@@ -263,7 +265,10 @@ impl<'a> CompileSession<'a> {
             }
         }
         if self.verify && (pass.mutates_ir() || mutated) && ctx.func.block_count() > 0 {
-            let violations = verify_ir(&ctx.func, ctx.mdes, ctx.opts, &ctx.entry_live_in);
+            let entry_live_in = ctx.entry_live_in.as_ref().ok_or_else(|| {
+                ScheduleError::Internal("verifying before superblock-prep".into())
+            })?;
+            let violations = verify_ir(&ctx.func, ctx.mdes, ctx.opts, entry_live_in);
             if !violations.is_empty() {
                 return Err(ScheduleError::Verify {
                     after: pass.name(),
@@ -326,8 +331,9 @@ impl Pass for ValidateInput {
     }
 }
 
-/// Materializes the working copy and records the input's entry live-in
-/// set (the baseline for the def-before-use invariant).
+/// Materializes the working copy and, in verifying sessions, records the
+/// input's entry live-in set (the baseline for the def-before-use
+/// invariant).
 struct SuperblockPrep;
 
 impl Pass for SuperblockPrep {
@@ -337,9 +343,11 @@ impl Pass for SuperblockPrep {
 
     fn run(&mut self, ctx: &mut PassCtx<'_>) -> Result<(), ScheduleError> {
         ctx.func = ctx.input.clone();
-        let cfg = Cfg::build(&ctx.func);
-        let lv = Liveness::compute(&ctx.func, &cfg);
-        ctx.entry_live_in = lv.live_in(ctx.func.entry()).clone();
+        if ctx.verify {
+            let cfg = Cfg::build(&ctx.func);
+            let lv = Liveness::compute(&ctx.func, &cfg);
+            ctx.entry_live_in = Some(lv.live_in(ctx.func.entry()).clone());
+        }
         let side_exits: usize = ctx.func.blocks().map(|b| b.side_exit_count()).sum();
         ctx.diag(format!(
             "{} superblocks, {} instructions, {} side exits",
@@ -673,6 +681,37 @@ mod tests {
                 assert_eq!(after, "list-schedule");
                 assert!(
                     violations.iter().any(|v| v.contains("forbids")),
+                    "{violations:?}"
+                );
+            }
+            other => panic!("expected Verify, got {other}"),
+        }
+    }
+
+    #[test]
+    fn new_upward_exposed_use_is_caught_against_the_input_baseline() {
+        // `superblock-prep` records the input's entry live-in set in
+        // verifying sessions; a later pass that reads a register the
+        // input never defined is caught at its own boundary.
+        let f = figure1();
+        let mut session = CompileSession::for_function(&f)
+            .options(SchedOptions::new(SchedulingModel::Sentinel).with_verify_passes())
+            .mutate_after(
+                "recovery-rename",
+                Box::new(|func: &mut Function| {
+                    let entry = func.entry();
+                    func.insert_insn(entry, 0, Insn::addi(Reg::int(60), Reg::int(59), 1));
+                }),
+            )
+            .build();
+        assert!(session.verifies());
+        match session.run().unwrap_err() {
+            ScheduleError::Verify { after, violations } => {
+                assert_eq!(after, "recovery-rename");
+                assert!(
+                    violations
+                        .iter()
+                        .any(|v| v.contains("r59 became upward-exposed")),
                     "{violations:?}"
                 );
             }

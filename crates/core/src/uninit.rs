@@ -8,7 +8,7 @@
 
 use sentinel_isa::Insn;
 use sentinel_prog::cfg::Cfg;
-use sentinel_prog::liveness::{Liveness, RegSetExt};
+use sentinel_prog::liveness::Liveness;
 use sentinel_prog::Function;
 
 /// Inserts `clear_tag` instructions at the top of the entry block for all
@@ -17,7 +17,7 @@ pub fn insert_clear_tags(func: &mut Function) -> usize {
     let cfg = Cfg::build(func);
     let lv = Liveness::compute(func, &cfg);
     let entry = func.entry();
-    let regs = lv.live_in(entry).iter_sorted();
+    let regs: Vec<_> = lv.live_in(entry).iter().collect();
     for (k, r) in regs.iter().enumerate() {
         func.insert_insn(entry, k, Insn::clear_tag(*r));
     }

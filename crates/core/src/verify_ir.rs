@@ -28,7 +28,8 @@
 
 use sentinel_isa::{MachineDesc, Opcode};
 use sentinel_prog::cfg::Cfg;
-use sentinel_prog::liveness::{Liveness, RegSet, RegSetExt};
+use sentinel_prog::liveness::Liveness;
+use sentinel_prog::regset::RegSet;
 use sentinel_prog::{validate, Function};
 
 use crate::models::SchedOptions;
@@ -108,8 +109,8 @@ pub fn verify_ir(
     let cfg = Cfg::build(func);
     let lv = Liveness::compute(func, &cfg);
     let entry = func.entry();
-    for reg in lv.live_in(entry).iter_sorted() {
-        if !entry_live_in.contains(&reg) {
+    for reg in lv.live_in(entry).iter() {
+        if !entry_live_in.contains(reg) {
             violations.push(format!(
                 "dataflow: {reg} became upward-exposed at entry (used before any definition)"
             ));

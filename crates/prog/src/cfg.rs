@@ -1,6 +1,6 @@
 //! Control-flow graph over blocks.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use sentinel_isa::BlockId;
 
@@ -53,8 +53,10 @@ pub struct Edge {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    succs: HashMap<BlockId, Vec<BlockId>>,
-    preds: HashMap<BlockId, Vec<BlockId>>,
+    // Per block, indexed by `BlockId::index()`.
+    succs: Vec<Vec<BlockId>>,
+    preds: Vec<Vec<BlockId>>,
+    fallthrough: Vec<Option<BlockId>>,
     edges: Vec<Edge>,
     entry: BlockId,
 }
@@ -66,12 +68,15 @@ impl Cfg {
     ///
     /// Panics if the function has no blocks.
     pub fn build(func: &Function) -> Cfg {
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let n = func.block_count();
+        let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        let mut fallthrough: Vec<Option<BlockId>> = vec![None; n];
         let mut edges = Vec::new();
-        for b in func.blocks() {
-            succs.entry(b.id).or_default();
-            preds.entry(b.id).or_default();
+        for pair in func.layout().windows(2) {
+            if !func.block(pair[0]).ends_in_unconditional() {
+                fallthrough[pair[0].index()] = Some(pair[1]);
+            }
         }
         for b in func.blocks() {
             let mut out: Vec<BlockId> = Vec::new();
@@ -85,26 +90,25 @@ impl Cfg {
                     kind: EdgeKind::Taken,
                 });
             }
-            if !b.ends_in_unconditional() {
-                if let Some(ft) = func.fallthrough_of(b.id) {
-                    if !out.contains(&ft) {
-                        out.push(ft);
-                    }
-                    edges.push(Edge {
-                        from: b.id,
-                        to: ft,
-                        kind: EdgeKind::FallThrough,
-                    });
+            if let Some(ft) = fallthrough[b.id.index()] {
+                if !out.contains(&ft) {
+                    out.push(ft);
                 }
+                edges.push(Edge {
+                    from: b.id,
+                    to: ft,
+                    kind: EdgeKind::FallThrough,
+                });
             }
             for t in &out {
-                preds.entry(*t).or_default().push(b.id);
+                preds[t.index()].push(b.id);
             }
-            succs.insert(b.id, out);
+            succs[b.id.index()] = out;
         }
         Cfg {
             succs,
             preds,
+            fallthrough,
             edges,
             entry: func.entry(),
         }
@@ -118,12 +122,19 @@ impl Cfg {
     /// Successor blocks (deduplicated, branch targets first, fall-through
     /// last).
     pub fn successors(&self, b: BlockId) -> &[BlockId] {
-        self.succs.get(&b).map_or(&[], |v| v.as_slice())
+        self.succs.get(b.index()).map_or(&[], |v| v.as_slice())
     }
 
     /// Predecessor blocks.
     pub fn predecessors(&self, b: BlockId) -> &[BlockId] {
-        self.preds.get(&b).map_or(&[], |v| v.as_slice())
+        self.preds.get(b.index()).map_or(&[], |v| v.as_slice())
+    }
+
+    /// The block control falls into off the end of `b`: its layout
+    /// successor, unless `b` ends in `jump` or `halt` or is last in the
+    /// layout.
+    pub fn fallthrough(&self, b: BlockId) -> Option<BlockId> {
+        self.fallthrough.get(b.index()).copied().flatten()
     }
 
     /// All edges, including parallel taken/fall-through edges to the same
@@ -150,21 +161,20 @@ impl Cfg {
     /// the graph is acyclic; loops place headers before bodies).
     pub fn reverse_post_order(&self) -> Vec<BlockId> {
         let mut order = Vec::new();
-        let mut state: HashMap<BlockId, u8> = HashMap::new(); // 0 unseen, 1 open, 2 done
-                                                              // Iterative DFS to avoid recursion depth limits on long chains.
+        // Iterative DFS to avoid recursion depth limits on long chains.
+        let mut seen = vec![false; self.succs.len()];
         let mut stack = vec![(self.entry, 0usize)];
-        state.insert(self.entry, 1);
+        seen[self.entry.index()] = true;
         while let Some((b, idx)) = stack.pop() {
             let succs = self.successors(b);
             if idx < succs.len() {
                 stack.push((b, idx + 1));
                 let s = succs[idx];
-                if state.get(&s).copied().unwrap_or(0) == 0 {
-                    state.insert(s, 1);
+                if !seen[s.index()] {
+                    seen[s.index()] = true;
                     stack.push((s, 0));
                 }
             } else {
-                state.insert(b, 2);
                 order.push(b);
             }
         }

@@ -35,6 +35,7 @@ pub mod examples;
 pub mod liveness;
 pub mod object;
 pub mod profile;
+pub mod regset;
 pub mod superblock;
 
 pub use block::Block;

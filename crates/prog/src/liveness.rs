@@ -16,36 +16,21 @@
 //! target uses it. The block-level fixpoint therefore rescans each block
 //! backwards, adding the target's live-in set at each branch.
 
-use std::collections::{HashMap, HashSet};
-
-use sentinel_isa::{BlockId, Reg};
+use sentinel_isa::{BlockId, Insn};
 
 use crate::cfg::Cfg;
+use crate::regset::{RegSet, RegSlots};
 use crate::Function;
 
-/// A set of registers. Deterministic iteration is provided by
-/// [`RegSet::iter_sorted`].
-pub type RegSet = HashSet<Reg>;
-
-/// Extension helpers for [`RegSet`].
-pub trait RegSetExt {
-    /// Registers in ascending `(class, index)` order.
-    fn iter_sorted(&self) -> Vec<Reg>;
-}
-
-impl RegSetExt for RegSet {
-    fn iter_sorted(&self) -> Vec<Reg> {
-        let mut v: Vec<Reg> = self.iter().copied().collect();
-        v.sort();
-        v
-    }
-}
-
 /// Result of live-variable analysis over a [`Function`].
+///
+/// Sets are dense bit sets ([`RegSet`]) over the registers the function
+/// mentions, one per block, indexed by [`BlockId::index`]. Blocks not
+/// reachable from the entry have empty sets.
 #[derive(Debug, Clone)]
 pub struct Liveness {
-    live_in: HashMap<BlockId, RegSet>,
-    live_out: HashMap<BlockId, RegSet>,
+    live_in: Vec<RegSet>,
+    live_out: Vec<RegSet>,
 }
 
 impl Liveness {
@@ -63,39 +48,39 @@ impl Liveness {
     /// b.push(Insn::halt());
     /// let f = b.finish();
     /// let lv = Liveness::compute(&f, &Cfg::build(&f));
-    /// assert!(lv.live_in(entry).contains(&Reg::int(1)));
+    /// assert!(lv.live_in(entry).contains(Reg::int(1)));
     /// ```
     pub fn compute(func: &Function, cfg: &Cfg) -> Liveness {
-        let mut live_in: HashMap<BlockId, RegSet> = HashMap::new();
-        let mut live_out: HashMap<BlockId, RegSet> = HashMap::new();
-        for b in func.blocks() {
-            live_in.insert(b.id, RegSet::new());
-            live_out.insert(b.id, RegSet::new());
-        }
+        let empty = RegSet::for_slots(RegSlots::of_function(func));
+        let mut lv = Liveness {
+            live_in: vec![empty.clone(); func.block_count()],
+            live_out: vec![empty.clone(); func.block_count()],
+        };
 
         // Iterate blocks in post-order-ish sequence until stable. Order
         // only affects convergence speed, not the result.
         let mut order = cfg.reverse_post_order();
         order.reverse();
+        let mut live = empty;
         loop {
             let mut changed = false;
             for &bid in &order {
                 // live_out = live_in of the layout fall-through (side-exit
                 // targets are added during the in-block scan).
-                let block = func.block(bid);
-                let mut out = RegSet::new();
-                if !block.ends_in_unconditional() {
-                    if let Some(ft) = func.fallthrough_of(bid) {
-                        out.extend(live_in[&ft].iter().copied());
-                    }
+                let b = bid.index();
+                live.clear();
+                if let Some(ft) = cfg.fallthrough(bid) {
+                    live.union_with(&lv.live_in[ft.index()]);
                 }
-                let inn = scan_block(func, &live_in, bid, &out);
-                if out != live_out[&bid] {
-                    live_out.insert(bid, out);
+                if live != lv.live_out[b] {
+                    lv.live_out[b].copy_from(&live);
                     changed = true;
                 }
-                if inn != live_in[&bid] {
-                    live_in.insert(bid, inn);
+                for insn in func.block(bid).insns.iter().rev() {
+                    lv.step_back(insn, &mut live);
+                }
+                if live != lv.live_in[b] {
+                    lv.live_in[b].copy_from(&live);
                     changed = true;
                 }
             }
@@ -103,19 +88,19 @@ impl Liveness {
                 break;
             }
         }
-        Liveness { live_in, live_out }
+        lv
     }
 
     /// Registers live at the top of a block.
     pub fn live_in(&self, b: BlockId) -> &RegSet {
-        &self.live_in[&b]
+        &self.live_in[b.index()]
     }
 
     /// Registers live at the bottom of a block (i.e. into the layout
     /// fall-through; side-exit liveness is position-dependent — see
     /// [`Liveness::live_before`]).
     pub fn live_out(&self, b: BlockId) -> &RegSet {
-        &self.live_out[&b]
+        &self.live_out[b.index()]
     }
 
     /// Registers live immediately *before* the instruction at `pos` in
@@ -123,38 +108,41 @@ impl Liveness {
     pub fn live_before(&self, func: &Function, b: BlockId, pos: usize) -> RegSet {
         let block = func.block(b);
         assert!(pos <= block.insns.len(), "position out of bounds");
-        let mut live = self.live_out[&b].clone();
+        let mut live = self.live_out(b).clone();
         for insn in block.insns[pos..].iter().rev() {
-            if let Some(d) = insn.def() {
-                live.remove(&d);
-            }
-            live.extend(insn.uses());
-            if let Some(t) = insn.target {
-                live.extend(self.live_in[&t].iter().copied());
-            }
+            self.step_back(insn, &mut live);
         }
         live
     }
-}
 
-/// Backward scan of one block from a given live-out set, producing live-in.
-fn scan_block(
-    func: &Function,
-    live_in: &HashMap<BlockId, RegSet>,
-    b: BlockId,
-    out: &RegSet,
-) -> RegSet {
-    let mut live = out.clone();
-    for insn in func.block(b).insns.iter().rev() {
-        if let Some(d) = insn.def() {
-            live.remove(&d);
+    /// [`Liveness::live_before`] at every position of block `b` at once:
+    /// element `pos` is the set live before instruction `pos`, and the
+    /// last element (`insns.len()`) is the live-out set.
+    pub fn live_before_each(&self, func: &Function, b: BlockId) -> Vec<RegSet> {
+        let insns = &func.block(b).insns;
+        let mut points = vec![self.live_out(b).clone(); insns.len() + 1];
+        for (pos, insn) in insns.iter().enumerate().rev() {
+            let (before, after) = points.split_at_mut(pos + 1);
+            before[pos].copy_from(&after[0]);
+            self.step_back(insn, &mut before[pos]);
         }
-        live.extend(insn.uses());
+        points
+    }
+
+    /// Moves `live` from just after `insn` to just before it: the
+    /// definition dies, the uses and (for a branch) the target's live-in
+    /// registers become live.
+    fn step_back(&self, insn: &Insn, live: &mut RegSet) {
+        if let Some(d) = insn.def() {
+            live.remove(d);
+        }
+        for u in insn.uses() {
+            live.insert(u);
+        }
         if let Some(t) = insn.target {
-            live.extend(live_in[&t].iter().copied());
+            live.union_with(&self.live_in[t.index()]);
         }
     }
-    live
 }
 
 #[cfg(test)]
@@ -179,9 +167,9 @@ mod tests {
         let f = b.finish();
         let lv = analyze(&f);
         let li = lv.live_in(e);
-        assert!(li.contains(&Reg::int(1)));
-        assert!(li.contains(&Reg::int(3)));
-        assert!(!li.contains(&Reg::int(2)), "r2 is defined before use");
+        assert!(li.contains(Reg::int(1)));
+        assert!(li.contains(Reg::int(3)));
+        assert!(!li.contains(Reg::int(2)), "r2 is defined before use");
         assert!(lv.live_out(e).is_empty());
     }
 
@@ -206,11 +194,11 @@ mod tests {
         let f = b.finish();
         let lv = analyze(&f);
         // At the branch (pos 0) r5 is live (target uses it).
-        assert!(lv.live_before(&f, e, 0).contains(&Reg::int(5)));
-        assert!(lv.live_in(e).contains(&Reg::int(5)));
+        assert!(lv.live_before(&f, e, 0).contains(Reg::int(5)));
+        assert!(lv.live_in(e).contains(Reg::int(5)));
         // Just after the branch (pos 1), r5 is dead: it is redefined before
         // its only subsequent use.
-        assert!(!lv.live_before(&f, e, 1).contains(&Reg::int(5)));
+        assert!(!lv.live_before(&f, e, 1).contains(Reg::int(5)));
     }
 
     #[test]
@@ -227,9 +215,9 @@ mod tests {
         b.push(Insn::halt());
         let f = b.finish();
         let lv = analyze(&f);
-        assert!(lv.live_in(head).contains(&Reg::int(1)));
+        assert!(lv.live_in(head).contains(Reg::int(1)));
         // r1 is live around the back edge.
-        assert!(lv.live_before(&f, head, 1).contains(&Reg::int(1)));
+        assert!(lv.live_before(&f, head, 1).contains(Reg::int(1)));
     }
 
     #[test]
@@ -242,9 +230,9 @@ mod tests {
         let f = b.finish();
         let lv = analyze(&f);
         let li = lv.live_in(e);
-        assert!(li.contains(&Reg::fp(2)) && li.contains(&Reg::fp(3)));
-        assert!(li.contains(&Reg::int(4)));
-        assert!(!li.contains(&Reg::fp(1)));
+        assert!(li.contains(Reg::fp(2)) && li.contains(Reg::fp(3)));
+        assert!(li.contains(Reg::int(4)));
+        assert!(!li.contains(Reg::fp(1)));
     }
 
     #[test]
@@ -255,7 +243,7 @@ mod tests {
         b.push(Insn::halt());
         let f = b.finish();
         let lv = analyze(&f);
-        assert!(!lv.live_in(e).contains(&Reg::ZERO));
+        assert!(!lv.live_in(e).contains(Reg::ZERO));
     }
 
     #[test]
@@ -272,15 +260,30 @@ mod tests {
         let lv = analyze(&f);
         let n = f.block(e).insns.len();
         assert_eq!(lv.live_before(&f, e, n), *lv.live_out(e));
-        assert!(lv.live_out(e).contains(&Reg::int(1)));
+        assert!(lv.live_out(e).contains(Reg::int(1)));
     }
 
     #[test]
-    fn iter_sorted_is_deterministic() {
-        let mut s = RegSet::new();
-        s.insert(Reg::fp(1));
-        s.insert(Reg::int(5));
-        s.insert(Reg::int(2));
-        assert_eq!(s.iter_sorted(), vec![Reg::int(2), Reg::int(5), Reg::fp(1)]);
+    fn live_before_each_matches_live_before() {
+        let mut b = ProgramBuilder::new("f");
+        let e = b.block("entry");
+        let o = b.block("other");
+        b.switch_to(e);
+        b.push(Insn::branch(Opcode::Beq, Reg::int(1), Reg::ZERO, o));
+        b.push(Insn::li(Reg::int(5), 1));
+        b.push(Insn::addi(Reg::int(6), Reg::int(5), 2));
+        b.push(Insn::halt());
+        b.switch_to(o);
+        b.push(Insn::st_w(Reg::int(5), Reg::int(6), 0));
+        b.push(Insn::halt());
+        let f = b.finish();
+        let lv = analyze(&f);
+        for bid in [e, o] {
+            let each = lv.live_before_each(&f, bid);
+            assert_eq!(each.len(), f.block(bid).insns.len() + 1);
+            for (pos, set) in each.iter().enumerate() {
+                assert_eq!(*set, lv.live_before(&f, bid, pos), "{bid} at {pos}");
+            }
+        }
     }
 }

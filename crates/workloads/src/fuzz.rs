@@ -8,7 +8,17 @@
 //! repro.
 
 use crate::rng::Rng;
-use crate::spec::{BenchClass, WorkloadSpec};
+use crate::spec::{BenchClass, SpecError, WorkloadSpec};
+
+/// Derives a randomized [`WorkloadSpec`] from `seed`; see
+/// [`try_fuzz_spec`].
+///
+/// # Panics
+///
+/// Panics where [`try_fuzz_spec`] returns an error.
+pub fn fuzz_spec(seed: u64, alias_frac: f64, trap_frac: f64) -> WorkloadSpec {
+    try_fuzz_spec(seed, alias_frac, trap_frac).unwrap_or_else(|e| panic!("fuzz seed {seed}: {e}"))
+}
 
 /// Derives a randomized [`WorkloadSpec`] from `seed`.
 ///
@@ -17,12 +27,17 @@ use crate::spec::{BenchClass, WorkloadSpec};
 /// `trap_frac` are caller-controlled so a harness can sweep memory
 /// aliasing and trap density as independent axes.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `alias_frac` or `trap_frac` lies outside `[0, 1]` or the
-/// resulting instruction mix oversubscribes (trap_frac above ~0.5 can,
-/// since up to half the mix budget is already spent on loads/stores).
-pub fn fuzz_spec(seed: u64, alias_frac: f64, trap_frac: f64) -> WorkloadSpec {
+/// [`SpecError`] if `alias_frac` or `trap_frac` lies outside `[0, 1]` or
+/// the resulting instruction mix oversubscribes (a `trap_frac` above 0.27
+/// can, for some seeds: the drawn load, store, multiply and divide
+/// fractions take up to 0.73 of the mix).
+pub fn try_fuzz_spec(
+    seed: u64,
+    alias_frac: f64,
+    trap_frac: f64,
+) -> Result<WorkloadSpec, SpecError> {
     // Decorrelate from the generator's own streams, which hash the spec
     // seed directly.
     let mut rng = Rng::seed_from_u64(seed ^ 0xF022_D1FF_EE75_EED5);
@@ -54,8 +69,8 @@ pub fn fuzz_spec(seed: u64, alias_frac: f64, trap_frac: f64) -> WorkloadSpec {
         alias_frac,
         trap_frac,
     };
-    spec.validate();
-    spec
+    spec.check()?;
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -73,6 +88,25 @@ mod tests {
                 "seed {seed} generated an invalid program"
             );
         }
+    }
+
+    #[test]
+    fn oversubscribed_mixes_are_errors_not_panics() {
+        // Seed 22 draws load/store/mul/div fractions that leave less than
+        // 0.4 of the mix for trap loads.
+        assert!(matches!(
+            try_fuzz_spec(22, 0.0, 0.4),
+            Err(SpecError::MixOversubscribed { .. })
+        ));
+        assert!(matches!(
+            try_fuzz_spec(22, 1.5, 0.0),
+            Err(SpecError::OutOfRange {
+                field: "alias_frac",
+                ..
+            })
+        ));
+        let ok = try_fuzz_spec(22, 0.0, 0.1).unwrap();
+        assert_eq!(format!("{ok:?}"), format!("{:?}", fuzz_spec(22, 0.0, 0.1)));
     }
 
     #[test]

@@ -99,14 +99,14 @@ impl WorkloadSpec {
         }
     }
 
-    /// Sanity-checks fraction parameters.
+    /// Checks that the spec can be generated.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any probability lies outside `[0, 1]` or the mix
-    /// fractions exceed 1 combined.
-    pub fn validate(&self) {
-        for (label, v) in [
+    /// [`SpecError`] if any probability lies outside `[0, 1]`, the mix
+    /// fractions exceed 1 combined, or a structural count is zero.
+    pub fn check(&self) -> Result<(), SpecError> {
+        for (field, value) in [
             ("load_frac", self.load_frac),
             ("store_frac", self.store_frac),
             ("fp_frac", self.fp_frac),
@@ -118,17 +118,73 @@ impl WorkloadSpec {
             ("alias_frac", self.alias_frac),
             ("trap_frac", self.trap_frac),
         ] {
-            assert!((0.0..=1.0).contains(&v), "{label} out of range: {v}");
+            if !(0.0..=1.0).contains(&value) {
+                return Err(SpecError::OutOfRange { field, value });
+            }
         }
-        assert!(
-            self.load_frac + self.store_frac + self.mul_frac + self.div_frac + self.trap_frac
-                <= 1.0,
-            "instruction mix exceeds 1.0"
-        );
-        assert!(self.loops >= 1 && self.regions_per_loop >= 1 && self.insns_per_region >= 1);
-        assert!(self.iterations >= 1);
+        let mix = self.load_frac + self.store_frac + self.mul_frac + self.div_frac + self.trap_frac;
+        if mix > 1.0 {
+            return Err(SpecError::MixOversubscribed { mix });
+        }
+        if self.loops == 0
+            || self.regions_per_loop == 0
+            || self.insns_per_region == 0
+            || self.iterations == 0
+        {
+            return Err(SpecError::EmptyShape);
+        }
+        Ok(())
+    }
+
+    /// Sanity-checks the spec (see [`WorkloadSpec::check`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`SpecError`] if the check fails.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
+
+/// Why a [`WorkloadSpec`] cannot be generated.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpecError {
+    /// A probability lies outside `[0, 1]`.
+    OutOfRange {
+        /// The field's name.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
+    /// The load, store, multiply, divide and trap-load fractions sum past
+    /// 1.
+    MixOversubscribed {
+        /// Their sum.
+        mix: f64,
+    },
+    /// A loop, region, instruction or iteration count is zero.
+    EmptyShape,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::OutOfRange { field, value } => write!(f, "{field} out of range: {value}"),
+            SpecError::MixOversubscribed { mix } => write!(
+                f,
+                "instruction mix exceeds 1.0: load, store, mul, div and trap fractions sum to {mix:.3}"
+            ),
+            SpecError::EmptyShape => write!(
+                f,
+                "loops, regions_per_loop, insns_per_region and iterations must be at least 1"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 #[cfg(test)]
 mod tests {
@@ -154,6 +210,25 @@ mod tests {
         s.load_frac = 0.6;
         s.store_frac = 0.5;
         s.validate();
+    }
+
+    #[test]
+    fn check_names_the_fault() {
+        let mut s = WorkloadSpec::test_default("t", 1);
+        assert_eq!(s.check(), Ok(()));
+        s.trap_frac = 0.6;
+        assert!(matches!(s.check(), Err(SpecError::MixOversubscribed { mix }) if mix > 1.0));
+        s.trap_frac = -0.1;
+        assert_eq!(
+            s.check(),
+            Err(SpecError::OutOfRange {
+                field: "trap_frac",
+                value: -0.1
+            })
+        );
+        s.trap_frac = 0.0;
+        s.iterations = 0;
+        assert_eq!(s.check(), Err(SpecError::EmptyShape));
     }
 
     #[test]

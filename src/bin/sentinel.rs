@@ -45,6 +45,12 @@ fn fail(msg: &str) -> ! {
     exit(1);
 }
 
+/// Rejects invalid input: the message on stderr, exit status 2.
+fn bad_input(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    exit(2);
+}
+
 fn parse_num(s: &str) -> i64 {
     let (neg, body) = match s.strip_prefix('-') {
         Some(b) => (true, b),
@@ -676,9 +682,9 @@ fn cmd_fuzz(args: &Args) {
             Some(s) => {
                 let v: f64 = s
                     .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad --{name} '{s}'")));
+                    .unwrap_or_else(|_| bad_input(&format!("bad --{name} '{s}'")));
                 if !(0.0..=1.0).contains(&v) {
-                    fail(&format!("--{name} must lie in [0, 1], got {v}"));
+                    bad_input(&format!("--{name} must lie in [0, 1], got {v}"));
                 }
                 v
             }
@@ -690,6 +696,8 @@ fn cmd_fuzz(args: &Args) {
         let spec = resolve_spec_arg(args, arg);
         let case = sentinel::fuzz::FuzzCase::from_spec(&spec)
             .unwrap_or_else(|e| fail(&format!("--spec: {e}")));
+        sentinel::fuzz::check_batch(case.seed, 1, case.alias_frac, case.trap_frac)
+            .unwrap_or_else(|e| bad_input(&format!("--spec: {e}")));
         match sentinel::fuzz::run_case(&case) {
             Ok(()) => println!("fuzz: case passed (spec {})", spec.hash_hex()),
             Err(report) => {
@@ -708,6 +716,7 @@ fn cmd_fuzz(args: &Args) {
     let width = args.flag("width").map(|s| parse_num(s) as usize);
     let alias = parse_frac("alias");
     let traps = parse_frac("traps");
+    sentinel::fuzz::check_batch(seed, count, alias, traps).unwrap_or_else(|e| bad_input(&e));
     match sentinel::fuzz::run_batch_detail(seed, count, alias, traps, model, width) {
         Ok(n) => println!(
             "fuzz: {n} case(s) passed (seeds {seed}..{}, alias {alias}, traps {traps})",
@@ -723,9 +732,7 @@ fn cmd_fuzz(args: &Args) {
     }
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: sentinel <command> <file> [options]\n\
+const USAGE: &str = "usage: sentinel <command> <file> [options]\n\
          commands:\n\
            check     validate a program\n\
            info      print program statistics\n\
@@ -741,8 +748,11 @@ fn usage() -> ! {
            reproduce regenerate the paper's tables/figures [fig4|fig5|summary|…|all] [--csv] [--jobs N] [--cache-dir DIR]\n\
            serve     networked compile-and-simulate service [--addr HOST] [--port N] [--workers N] [--queue N] [--cache N] [--cache-dir PATH]\n\
            fuzz      differential fuzzer: all three engines, byte-identical observables [--seed N] [--count M] [--model R|G|S|T] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
-           version   print the version (also --version)"
-    );
+           version   print the version (also --version)\n\
+           --help    print this usage on stdout (also -h)";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     exit(2);
 }
 
@@ -752,6 +762,10 @@ fn main() {
         usage();
     }
     let cmd = raw[0].clone();
+    if cmd == "--help" || cmd == "-h" {
+        println!("{USAGE}");
+        return;
+    }
     if cmd == "--version" || cmd == "version" {
         println!("sentinel {}", env!("CARGO_PKG_VERSION"));
         return;

@@ -26,7 +26,7 @@ use sentinel_sim::{
 };
 use sentinel_spec::{JobSpec, ProgramRef, SpecKind};
 use sentinel_trace::{Event, TraceSink};
-use sentinel_workloads::{fuzz_spec, generate, Workload};
+use sentinel_workloads::{generate, try_fuzz_spec, Workload};
 
 /// One differential fuzz case.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -239,7 +239,13 @@ fn describe_divergence(a: &str, lhs: &Observation, b: &str, rhs: &Observation) -
 /// Returns a human-readable report — including the repro command — if
 /// scheduling fails or the engines diverge on any observable.
 pub fn run_case(case: &FuzzCase) -> Result<(), String> {
-    let spec = fuzz_spec(case.seed, case.alias_frac, case.trap_frac);
+    let spec = try_fuzz_spec(case.seed, case.alias_frac, case.trap_frac).map_err(|e| {
+        format!(
+            "bad fuzz spec: {e}\n{}\n  repro: {}",
+            case.spec_lines(),
+            case.repro_command()
+        )
+    })?;
     let w = generate(&spec);
     let mdes = MachineDesc::paper_issue(case.width);
     let sched = schedule_function(&w.func, &mdes, &SchedOptions::new(case.model)).map_err(|e| {
@@ -287,6 +293,25 @@ pub fn grid(model: Option<SchedulingModel>, width: Option<usize>) -> Vec<(Schedu
         }
     }
     combos
+}
+
+/// Checks that every seed of a batch derives a generatable program, so a
+/// mix the generator cannot honor is reported as bad input before any
+/// case runs.
+///
+/// # Errors
+///
+/// The first seed whose spec `try_fuzz_spec` rejects, with the reason.
+pub fn check_batch(
+    start_seed: u64,
+    count: u64,
+    alias_frac: f64,
+    trap_frac: f64,
+) -> Result<(), String> {
+    for seed in start_seed..start_seed.saturating_add(count) {
+        try_fuzz_spec(seed, alias_frac, trap_frac).map_err(|e| format!("seed {seed}: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Runs `count` cases starting at `start_seed`, cycling each seed through

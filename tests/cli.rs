@@ -392,6 +392,42 @@ fn version_flag_prints_package_version() {
 }
 
 #[test]
+fn help_flags_print_usage_on_stdout() {
+    for args in [&["--help"][..], &["-h"]] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("usage: sentinel"));
+    }
+    for args in [&["reproduce", "--help"][..], &["reproduce", "fig4", "-h"]] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("usage: reproduce"));
+    }
+}
+
+#[test]
+fn fuzz_rejects_an_oversubscribed_mix_with_exit_2() {
+    // Seed 22's drawn load/store/mul/div fractions leave less than 0.4
+    // of the instruction mix for trap loads.
+    let out = bin()
+        .args(["fuzz", "--seed", "22", "--count", "1", "--traps", "0.4"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("seed 22: instruction mix exceeds 1.0"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let out = bin()
+        .args(["fuzz", "--count", "1", "--traps", "1.5"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
 fn unknown_subcommands_exit_2_with_usage() {
     let out = bin().arg("frobnicate").arg("x.sasm").output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -131,7 +131,7 @@ fn liveness_matches_brute_force() {
                 for &reg in regs.iter().take(12) {
                     let brute = brute_force_live(func, (bid, pos.min(n)), reg);
                     assert_eq!(
-                        live.contains(&reg),
+                        live.contains(reg),
                         brute,
                         "seed {seed} {bid} pos {pos} reg {reg}"
                     );
