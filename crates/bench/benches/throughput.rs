@@ -1,14 +1,13 @@
-//! Component throughput: scheduler, all three execution engines,
-//! reference interpreter, and assembler, measured on suite programs.
+//! Component throughput: scheduler, both execution engines, reference
+//! interpreter, and assembler, measured on suite programs.
 //!
 //! The engine section is the headline: it runs every workload on the
-//! interpretive oracle, the pre-decoded fast engine, and the
-//! trace-chaining turbo engine, **fails on any disagreement** (outcome,
-//! statistics, live-out registers, memory), and reports simulated
-//! instructions per second for each. Turbo runs reuse one decoded
-//! program per workload (built outside the timed loop), matching the
-//! decode-once contract the `ProgramCache` gives the grid and serve
-//! workers in production.
+//! interpretive oracle and the trace-chaining turbo engine, **fails on
+//! any disagreement** (outcome, statistics, live-out registers,
+//! memory), and reports simulated instructions per second for each.
+//! Turbo runs reuse one decoded program per workload (built outside the
+//! timed loop), so the figure is execution throughput alone; the grid
+//! and the service decode once per session.
 //!
 //! ```text
 //! cargo bench --bench throughput                      # full run
@@ -18,8 +17,8 @@
 //! ```
 //!
 //! `--engine E` restricts the *timing* pass to one engine (the
-//! verification pass always covers all three); the JSON report carries
-//! a column per timed engine.
+//! verification pass always covers both); the JSON report carries a
+//! column per timed engine.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -40,7 +39,7 @@ use sentinel_sim::{Engine, SimSession, TurboProgram};
 
 use sentinel_workloads::{suite, Workload};
 
-const ALL_ENGINES: [Engine; 3] = [Engine::Interpreter, Engine::Fast, Engine::Turbo];
+const ALL_ENGINES: [Engine; 2] = [Engine::Interpreter, Engine::Turbo];
 
 struct Cli {
     quick: bool,
@@ -98,9 +97,8 @@ fn sched_for(w: &Workload) -> (MeasureConfig, Function) {
 }
 
 /// One full run of `func` on `engine`; returns dynamic instructions.
-/// Turbo runs share `prog`, decoded once per workload — the steady
-/// state every production path (grid, serve) reaches via the
-/// `ProgramCache`.
+/// Turbo runs share `prog`, decoded once per workload, so the timing
+/// covers execution only.
 fn run_once(
     w: &Workload,
     cfg: &MeasureConfig,
@@ -119,9 +117,8 @@ fn run_once(
     m.stats().dyn_insns
 }
 
-/// Runs `w` on all three engines and panics on any observable
-/// difference: outcome, statistics, live-out registers, or final
-/// memory.
+/// Runs `w` on both engines and panics on any observable difference:
+/// outcome, statistics, live-out registers, or final memory.
 fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, func: &Function) {
     let mut states = Vec::new();
     for engine in ALL_ENGINES {
@@ -136,11 +133,6 @@ fn assert_engines_agree(w: &Workload, cfg: &MeasureConfig, func: &Function) {
     }
     assert_eq!(
         states[0], states[1],
-        "{}: fast engine disagrees with the interpreter",
-        w.name
-    );
-    assert_eq!(
-        states[0], states[2],
         "{}: turbo engine disagrees with the interpreter",
         w.name
     );
@@ -165,14 +157,14 @@ impl EngineRow {
 fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
     group("engines (sentinel model, issue 8)");
 
-    // Verification pass: the whole suite, all three engines, every run.
+    // Verification pass: the whole suite, both engines, every run.
     let workloads = suite::shared();
     for w in workloads.iter() {
         let (cfg, func) = sched_for(w);
         assert_engines_agree(w, &cfg, &func);
     }
     println!(
-        "   (all three engines agree on all {} suite workloads)",
+        "   (both engines agree on all {} suite workloads)",
         workloads.len()
     );
 
@@ -196,7 +188,7 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
         let w = suite::by_name(name).unwrap();
         let (cfg, func) = sched_for(&w);
         let prog = Arc::new(TurboProgram::new(&func, &cfg.mdes()));
-        let dyn_insns = run_once(&w, &cfg, &func, Engine::Fast, &prog);
+        let dyn_insns = run_once(&w, &cfg, &func, Engine::Turbo, &prog);
         // Engines alternate within each timing round so host contention
         // cannot bias one engine's whole sample block; the min is the
         // uncontended-time estimate for each.
@@ -224,8 +216,10 @@ fn bench_engines(quick: bool, only: Option<Engine>) -> Vec<EngineRow> {
             dyn_insns,
             ips,
         };
-        if let (Some(fast), Some(turbo)) = (row.ips_of(Engine::Fast), row.ips_of(Engine::Turbo)) {
-            let _ = write!(line, "   turbo/fast x{:.2}", turbo / fast);
+        if let (Some(interp), Some(turbo)) =
+            (row.ips_of(Engine::Interpreter), row.ips_of(Engine::Turbo))
+        {
+            let _ = write!(line, "   turbo/interpreter x{:.2}", turbo / interp);
         }
         println!("{line}");
         rows.push(row);
@@ -288,7 +282,7 @@ fn geomean_ratio(rows: &[EngineRow], num: Engine, den: Engine) -> Option<f64> {
     (!ratios.is_empty()).then(|| geomean(ratios.iter().copied()))
 }
 
-fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 3]>) {
+fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 2]>) {
     let mut j = String::from("{\n  \"bench\": \"throughput\",\n  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let mut fields = format!(
@@ -305,22 +299,14 @@ fn write_json(path: &str, rows: &[EngineRow], grid: Option<[f64; 3]>) {
         );
     }
     j.push_str("  ]");
-    if let Some(gm) = geomean_ratio(rows, Engine::Fast, Engine::Interpreter) {
-        let _ = write!(j, ",\n  \"geomean_fast_over_interpreter\": {gm:.2}");
-    }
-    if let Some(gm) = geomean_ratio(rows, Engine::Turbo, Engine::Fast) {
-        let _ = write!(j, ",\n  \"geomean_turbo_over_fast\": {gm:.2}");
-    }
     if let Some(gm) = geomean_ratio(rows, Engine::Turbo, Engine::Interpreter) {
         let _ = write!(j, ",\n  \"geomean_turbo_over_interpreter\": {gm:.2}");
     }
-    if let Some([interp_s, fast_s, turbo_s]) = grid {
+    if let Some([interp_s, turbo_s]) = grid {
         let _ = write!(
             j,
             ",\n  \"reproduce_grid\": {{\"interpreter_wall_s\": {interp_s:.2}, \
-             \"fast_wall_s\": {fast_s:.2}, \"turbo_wall_s\": {turbo_s:.2}, \
-             \"fast_speedup\": {:.2}, \"turbo_speedup\": {:.2}}}",
-            interp_s / fast_s,
+             \"turbo_wall_s\": {turbo_s:.2}, \"turbo_speedup\": {:.2}}}",
             interp_s / turbo_s
         );
     }
@@ -340,11 +326,9 @@ fn main() {
         group("reproduce grid (fig4+fig5+ablations), wall clock");
         let interp_s = reproduce_grid(Engine::Interpreter);
         println!("{:<36} {interp_s:>8.2}s", "grid/interpreter");
-        let fast_s = reproduce_grid(Engine::Fast);
-        println!("{:<36} {fast_s:>8.2}s", "grid/fast");
         let turbo_s = reproduce_grid(Engine::Turbo);
         println!("{:<36} {turbo_s:>8.2}s", "grid/turbo");
-        grid = Some([interp_s, fast_s, turbo_s]);
+        grid = Some([interp_s, turbo_s]);
     }
     if let Some(path) = &cli.json {
         write_json(path, &rows, grid);

@@ -165,7 +165,6 @@ impl ResultCache {
 mod tests {
     use super::*;
     use sentinel_core::SchedulingModel;
-    use sentinel_sim::Engine;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -209,9 +208,9 @@ mod tests {
     fn measurements_persist_across_cache_instances_but_errors_do_not() {
         let dir = temp_dir("persist");
         let ok_cell = cell(2);
-        let ok_key = ok_cell.spec(Engine::Fast).canonical();
+        let ok_key = ok_cell.spec().canonical();
         let err_cell = cell(4);
-        let err_key = err_cell.spec(Engine::Fast).canonical();
+        let err_key = err_cell.spec().canonical();
         let measurement = crate::runner::Measurement {
             bench: "cmp".to_string(),
             model: SchedulingModel::Sentinel,
@@ -253,7 +252,7 @@ mod tests {
     #[test]
     fn undecodable_bodies_degrade_to_misses() {
         let dir = temp_dir("foreign");
-        let key = cell(2).spec(Engine::Fast).canonical();
+        let key = cell(2).spec().canonical();
         let metrics = SharedMetrics::new();
         let store = Store::new(64, metrics.clone()).attach_dir(&dir).unwrap();
         // A foreign writer (e.g. serve) stored JSON under our key.

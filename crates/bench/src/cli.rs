@@ -45,7 +45,7 @@ pub const USAGE_STATUS: i32 = 2;
 const USAGE: &str = "usage: reproduce [fig4|fig5|summary|sweep|overhead [width]|ablation-sb|\
                      ablation-recovery|ablation-formation|ablation-boosting|ablation-unroll|\
                      ablation-cache|ablation-pipeline|ablation-pressure|all] [--csv] [--jobs N] \
-                     [--engine interpreter|fast|turbo] [--verify-passes] [--cache-dir DIR] [--version] [--help]";
+                     [--engine interpreter|turbo] [--verify-passes] [--cache-dir DIR] [--version] [--help]";
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -525,6 +525,15 @@ mod tests {
         assert!(parse(&args(&["--frobnicate"])).is_err());
         assert!(parse(&args(&["overhead", "notawidth"])).is_err());
         assert!(parse(&args(&["overhead", "2", "extra"])).is_err());
+    }
+
+    #[test]
+    fn parse_reads_engine_and_rejects_the_retired_one() {
+        assert_eq!(parse(&args(&[])).unwrap().engine, Engine::Turbo);
+        let cli = parse(&args(&["--engine", "interpreter"])).unwrap();
+        assert_eq!(cli.engine, Engine::Interpreter);
+        let err = parse(&args(&["--engine", "fast"])).unwrap_err();
+        assert!(err.contains("interpreter|turbo"), "{err}");
     }
 
     #[test]

@@ -119,19 +119,19 @@ impl Cell {
         Cell::paper(bench, SchedulingModel::RestrictedPercolation, 1)
     }
 
-    /// The canonical [`JobSpec`] this cell denotes under `engine`.
+    /// The canonical [`JobSpec`] this cell denotes.
     ///
     /// This is the same spec a serve `/v1/simulate` request for the
     /// suite benchmark derives, so one spec hash addresses the cell in
     /// the grid's persistent store, in serve's response cache, and on
-    /// the `sentinel simulate --spec` command line.
-    pub fn spec(&self, engine: Engine) -> JobSpec {
+    /// the `sentinel simulate --spec` command line — whichever engine
+    /// measured it.
+    pub fn spec(&self) -> JobSpec {
         let mut spec = JobSpec::simulate(
             ProgramRef::Suite(self.bench.clone()),
             self.model,
             self.width,
         );
-        spec.engine = engine;
         spec.recovery = self.recovery;
         spec.store_buffer = self.store_buffer;
         spec.cache = self.cache.clone();
@@ -212,11 +212,10 @@ pub struct GridSession {
     by_name: HashMap<String, usize>,
     cache: ResultCache,
     /// Compiled programs, shared by every worker thread and keyed by the
-    /// cell's schedule hash ([`JobSpec::schedule_hash`]): one compile —
-    /// and, under [`Engine::Turbo`], one decode — per distinct
-    /// (bench, model, width, recovery, store-buffer) point per session,
-    /// no matter how many cells, ablation knobs, or `--jobs` workers
-    /// touch it.
+    /// cell's schedule hash ([`JobSpec::schedule_hash`]): one compile
+    /// per distinct (bench, model, width, recovery, store-buffer) point
+    /// per session, no matter how many cells, ablation knobs, or
+    /// `--jobs` workers touch it.
     programs: ProgramCache<Result<Prepared, MeasureError>>,
     jobs: usize,
     engine: Engine,
@@ -256,16 +255,16 @@ impl GridSession {
         self.jobs
     }
 
-    /// The execution engine cells run on ([`Engine::Fast`] by default).
+    /// The execution engine cells run on ([`Engine::Turbo`] by default).
     pub fn engine(&self) -> Engine {
         self.engine
     }
 
-    /// Selects the execution engine for the whole session. The result
-    /// cache is keyed by [`Cell`] only, so pick the engine **before**
-    /// evaluating anything — the two engines are held to identical
-    /// measurements by the differential suite, but timing summaries
-    /// would mix otherwise.
+    /// Selects the execution engine for the whole session. The engines
+    /// are held to identical measurements by the differential suite, so
+    /// the result cache and the persistent store are keyed without it;
+    /// pick the engine **before** evaluating anything all the same, or
+    /// the cell timing histogram would mix engines.
     pub fn set_engine(&mut self, engine: Engine) {
         assert_eq!(
             self.cells_cached(),
@@ -463,13 +462,10 @@ impl GridSession {
         }
     }
 
-    /// The store key for a cell — its canonical spec encoding under the
-    /// session engine — when a persistent store is attached (keys are
-    /// pointless work otherwise).
+    /// The store key for a cell — its canonical spec encoding — when a
+    /// persistent store is attached (keys are pointless work otherwise).
     fn cell_key(&self, cell: &Cell) -> Option<String> {
-        self.cache
-            .has_store()
-            .then(|| cell.spec(self.engine).canonical())
+        self.cache.has_store().then(|| cell.spec().canonical())
     }
 
     /// Schedules + simulates one cell with panic isolation.
@@ -498,7 +494,7 @@ impl GridSession {
             let mut cfg = cell.config();
             cfg.engine = self.engine;
             cfg.verify_passes = self.verify_passes;
-            let key = cell.spec(self.engine).schedule_hash();
+            let key = cell.spec().schedule_hash();
             let metrics = self.cache.metrics().clone();
             let prepared = self.programs.get_or_fill(key, || {
                 let p = prepare(w, &cfg)?;
@@ -778,15 +774,14 @@ mod tests {
         assert_eq!(m.counter("store.disk_hit"), 0);
     }
 
-    /// The decode-once contract: across a full grid eval — duplicated
-    /// cells, parallel workers, turbo engine — each distinct schedule
-    /// point (bench, model, width, recovery, store buffer) is compiled
-    /// and decoded exactly once, and cells differing only in the
-    /// timing-only data cache share that one compile.
+    /// The compile-once contract: across a full grid eval — duplicated
+    /// cells, parallel workers — each distinct schedule point (bench,
+    /// model, width, recovery, store buffer) is compiled exactly once,
+    /// and cells differing only in the timing-only data cache share
+    /// that one compile.
     #[test]
     fn shared_program_cache_compiles_each_schedule_point_once() {
-        let mut session = tiny_session(4);
-        session.set_engine(Engine::Turbo);
+        let session = tiny_session(4);
         let mut cells = grid_cells();
         // Differs from an existing cell only by the timing-only data
         // cache, which does not affect scheduling: must be a program hit.
@@ -796,10 +791,7 @@ mod tests {
         let doubled: Vec<Cell> = cells.iter().chain(cells.iter()).cloned().collect();
         let outcomes = session.eval(&doubled);
         assert!(outcomes.iter().all(|o| o.is_ok()));
-        let distinct: HashSet<u64> = cells
-            .iter()
-            .map(|c| c.spec(Engine::Turbo).schedule_hash())
-            .collect();
+        let distinct: HashSet<u64> = cells.iter().map(|c| c.spec().schedule_hash()).collect();
         assert_eq!(distinct.len(), cells.len() - 1, "ablated cell shares a key");
         let m = session.metrics();
         assert_eq!(
@@ -829,14 +821,24 @@ mod tests {
     #[test]
     fn cell_spec_round_trips_and_varies_with_knobs() {
         let mut c = Cell::paper("wc", SchedulingModel::Sentinel, 4);
-        let spec = c.spec(Engine::Fast);
+        let spec = c.spec();
         let parsed = sentinel_spec::JobSpec::parse(&spec.canonical()).unwrap();
         assert_eq!(parsed, spec);
         let base = spec.content_hash();
         c.recovery = true;
-        assert_ne!(c.spec(Engine::Fast).content_hash(), base);
+        assert_ne!(c.spec().content_hash(), base);
         c.recovery = false;
-        assert_ne!(c.spec(Engine::Interpreter).content_hash(), base);
+        c.cache = Some(CacheConfig::small_l1(10));
+        assert_ne!(c.spec().content_hash(), base);
+    }
+
+    #[test]
+    fn engine_choice_changes_no_measurement() {
+        let cells = grid_cells();
+        let turbo = tiny_session(2).eval(&cells);
+        let mut interp_session = tiny_session(2);
+        interp_session.set_engine(Engine::Interpreter);
+        assert_eq!(interp_session.eval(&cells), turbo);
     }
 
     #[test]

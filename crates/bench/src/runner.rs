@@ -5,8 +5,6 @@
 //! [`grid`](crate::grid) engine plans, dedups, parallelizes, and
 //! memoizes cells, calling [`measure`] exactly once per distinct cell.
 
-use std::sync::{Arc, OnceLock};
-
 use sentinel_core::{
     CompileSession, PassLog, SchedOptions, SchedStats, ScheduleError, SchedulingModel,
 };
@@ -14,10 +12,10 @@ use sentinel_isa::MachineDesc;
 use sentinel_prog::Function;
 use sentinel_sim::reference::{RefOutcome, Reference};
 use sentinel_sim::verify::{compare_runs, CompareSpec};
-use sentinel_sim::{
-    Engine, Memory, RunOutcome, SimConfig, SimSession, SpeculationSemantics, Stats, TurboProgram,
-};
+use sentinel_sim::{Engine, Memory, RunOutcome, SimConfig, SimSession, Stats};
 use sentinel_workloads::Workload;
+
+pub use sentinel_spec::semantics_for;
 
 /// One measured run of a workload under a model and machine.
 ///
@@ -73,8 +71,9 @@ pub struct MeasureConfig {
     /// Optional timing-only data cache (`None` = the paper's 100%-hit
     /// assumption).
     pub cache: Option<sentinel_sim::cache::CacheConfig>,
-    /// Execution engine ([`Engine::Fast`] by default; the interpreter is
-    /// the differential-testing oracle).
+    /// Execution engine ([`Engine::Turbo`] by default; the interpreter is
+    /// the timing oracle). Engines are byte-identical, so this changes
+    /// how fast a measurement runs, never what it measures.
     pub engine: Engine,
     /// Run the compiler's inter-pass IR verifier even in release builds
     /// (`--verify-passes`). Does not change any measured number — only
@@ -130,14 +129,6 @@ pub fn apply_memory(w: &Workload, mem: &mut Memory) {
     for &(addr, bits) in &w.mem_words {
         mem.write_word(addr, bits)
             .expect("image word in mapped region");
-    }
-}
-
-/// The speculative-fault semantics each scheduling model runs under.
-pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
     }
 }
 
@@ -199,9 +190,8 @@ pub struct Measured {
 /// the same schedule point, and the grid keys its shared
 /// [`ProgramCache`](sentinel_sim::ProgramCache) by exactly that hash.
 ///
-/// The turbo decode is lazy: non-turbo runs never pay for it, and turbo
-/// runs decode once per `Prepared` no matter how many sessions execute
-/// it ([`OnceLock`] makes that true even across worker threads).
+/// It holds no decoded engine program: each turbo session decodes its own,
+/// so a full cache keeps only the scheduled functions resident.
 #[derive(Debug)]
 pub struct Prepared {
     /// The scheduled function.
@@ -210,24 +200,6 @@ pub struct Prepared {
     pub sched: SchedStats,
     /// Per-pass timing, IR deltas, and diagnostics from the compile.
     pub passes: PassLog,
-    /// The machine the function was scheduled for (and decodes under).
-    mdes: MachineDesc,
-    /// Lazily decoded turbo program, shared by every turbo session.
-    turbo: OnceLock<Arc<TurboProgram>>,
-}
-
-impl Prepared {
-    /// The decoded turbo program, decoding on first use.
-    pub fn turbo_program(&self) -> Arc<TurboProgram> {
-        self.turbo
-            .get_or_init(|| Arc::new(TurboProgram::new(&self.func, &self.mdes)))
-            .clone()
-    }
-
-    /// Whether the turbo decode has happened yet.
-    pub fn turbo_decoded(&self) -> bool {
-        self.turbo.get().is_some()
-    }
 }
 
 /// Schedules a workload for one measurement configuration.
@@ -254,15 +226,11 @@ pub fn prepare(w: &Workload, cfg: &MeasureConfig) -> Result<Prepared, MeasureErr
         func: sched.func,
         sched: sched.stats,
         passes,
-        mdes,
-        turbo: OnceLock::new(),
     })
 }
 
-/// Executes an already-compiled workload, returning the measurement.
-///
-/// On [`Engine::Turbo`] the prepared program's decode is reused (and
-/// performed at most once, however many sessions run it).
+/// Executes an already-compiled workload on `cfg.engine`, returning the
+/// measurement.
 ///
 /// # Errors
 ///
@@ -272,12 +240,10 @@ pub fn simulate_prepared(
     cfg: &MeasureConfig,
     prepared: &Prepared,
 ) -> Result<Measurement, MeasureError> {
-    let builder = SimSession::for_function(&prepared.func).config(cfg.sim_config());
-    let mut m = if cfg.engine == Engine::Turbo {
-        builder.program(prepared.turbo_program()).build()
-    } else {
-        builder.engine(cfg.engine).build()
-    };
+    let mut m = SimSession::for_function(&prepared.func)
+        .config(cfg.sim_config())
+        .engine(cfg.engine)
+        .build();
     apply_memory(w, m.memory_mut());
     let outcome = m.run().map_err(|e| {
         MeasureError::Sim(format!(

@@ -16,15 +16,13 @@
 //! the same bytes — the property the content-hash cache and the
 //! byte-identical-to-in-process acceptance test both rely on.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use sentinel_core::{CompileSession, SchedOptions, SchedStats, SchedulingModel};
 use sentinel_isa::MachineDesc;
 use sentinel_prog::{asm, Function};
-use sentinel_sim::{
-    Engine, ProgramCache, RunOutcome, SimConfig, SimSession, SpeculationSemantics, TurboProgram,
-};
-use sentinel_spec::{JobSpec, ProgramRef, SpecKind};
+use sentinel_sim::{Engine, ProgramCache, RunOutcome, SimConfig, SimSession};
+use sentinel_spec::{model_str, semantics_for, JobSpec, ProgramRef, SpecKind};
 use sentinel_trace::json::{self, ObjWriter, Value};
 use sentinel_workloads::Workload;
 
@@ -57,34 +55,10 @@ impl ApiError {
     }
 }
 
-/// Parses a scheduling-model spec (`R`, `G`, `S`, `T`, `B<k>`, or the
-/// long names the CLI accepts).
+/// Parses a scheduling-model name ([`sentinel_spec::parse_model`]),
+/// with the error as text.
 pub fn parse_model(s: &str) -> Result<SchedulingModel, String> {
-    match s {
-        "R" | "restricted" => Ok(SchedulingModel::RestrictedPercolation),
-        "G" | "general" => Ok(SchedulingModel::GeneralPercolation),
-        "S" | "sentinel" => Ok(SchedulingModel::Sentinel),
-        "T" | "stores" => Ok(SchedulingModel::SentinelStores),
-        other => match other.strip_prefix('B').and_then(|k| k.parse::<u8>().ok()) {
-            Some(levels) => Ok(SchedulingModel::Boosting(levels)),
-            None => Err(format!("unknown model '{other}' (R, G, S, T, or B<k>)")),
-        },
-    }
-}
-
-/// The canonical spelling of a model in responses and cache keys
-/// (delegates to the shared encoding in `sentinel-spec`).
-pub fn model_str(model: SchedulingModel) -> String {
-    sentinel_spec::model_str(model)
-}
-
-/// The speculative-fault semantics each scheduling model runs under
-/// (mirrors the evaluation harness).
-fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
-    }
+    sentinel_spec::parse_model(s).map_err(|e| e.to_string())
 }
 
 /// Shared model/width/recovery knobs of both endpoints.
@@ -138,7 +112,9 @@ pub struct SimulateRequest {
     pub program: Program,
     /// Model/width/recovery.
     pub knobs: Knobs,
-    /// Execution engine (default fast).
+    /// Execution engine (default turbo). Not part of the job's identity:
+    /// the engines are byte-identical, so the spec and the cache key
+    /// leave it out, and a cached response may come from either.
     pub engine: Engine,
     /// Memory regions to map before running inline source:
     /// `(start, len)`.
@@ -385,7 +361,6 @@ impl SimulateRequest {
             Program::Source(text) => ProgramRef::Source(text.clone()),
         };
         let mut spec = JobSpec::simulate(program, self.knobs.model, self.knobs.width);
-        spec.engine = self.engine;
         spec.recovery = self.knobs.recovery;
         spec.store_buffer = mdes_for(&self.knobs).store_buffer_size();
         spec.map = self.map.clone();
@@ -505,7 +480,7 @@ impl ApiRequest {
                 Ok(ApiRequest::Simulate(SimulateRequest {
                     program,
                     knobs,
-                    engine: spec.engine,
+                    engine: Engine::default(),
                     map: spec.map.clone(),
                     word: spec.word.clone(),
                 }))
@@ -541,9 +516,8 @@ impl ApiRequest {
     /// [`run`](ApiRequest::run), but compiling simulate jobs through a
     /// shared [`SimProgramCache`]: jobs with the same schedule point
     /// (program, model, width, recovery, store buffer — the engine does
-    /// *not* split the key) share one compile, and one turbo decode,
-    /// per process. The response bytes are identical with or without
-    /// the cache.
+    /// *not* split the key) share one compile per process. The response
+    /// bytes are identical with or without the cache.
     ///
     /// # Errors
     ///
@@ -854,29 +828,19 @@ fn compile_response(req: &CompileRequest) -> Result<String, ApiError> {
 }
 
 /// A simulate job compiled once and shared across requests: the
-/// scheduled function, its statistics, and a lazily decoded turbo
-/// program. Everything here depends only on the schedule point
+/// scheduled function, its statistics, and the machine it was scheduled
+/// for. Everything here depends only on the schedule point
 /// ([`JobSpec::schedule_hash`]) — never on the engine or the memory
-/// image — so one entry serves fast, turbo, and interpreter requests
-/// for the same job alike.
+/// image — so one entry serves turbo and interpreter requests for the
+/// same job alike. Each turbo session decodes its own program.
 #[derive(Debug)]
 pub struct PreparedJob {
     func: Function,
     sched: SchedStats,
     mdes: MachineDesc,
-    turbo: OnceLock<Arc<TurboProgram>>,
 }
 
-impl PreparedJob {
-    /// The decoded turbo program, decoding at most once per entry.
-    fn turbo_program(&self) -> Arc<TurboProgram> {
-        self.turbo
-            .get_or_init(|| Arc::new(TurboProgram::new(&self.func, &self.mdes)))
-            .clone()
-    }
-}
-
-/// The decoded-program cache the service's workers share, keyed by
+/// The compiled-program cache the service's workers share, keyed by
 /// [`JobSpec::schedule_hash`]. Compile failures are cached too — a
 /// replayed unschedulable job answers the same 400 without
 /// re-scheduling.
@@ -935,7 +899,6 @@ fn simulate_response(
             func: scheduled.func,
             sched: scheduled.stats,
             mdes,
-            turbo: OnceLock::new(),
         })
     };
     let prepared = match programs {
@@ -946,12 +909,10 @@ fn simulate_response(
 
     let mut cfg = SimConfig::for_mdes(prepared.mdes.clone());
     cfg.semantics = semantics_for(req.knobs.model);
-    let builder = SimSession::for_function(&prepared.func).config(cfg);
-    let mut m = if req.engine == Engine::Turbo {
-        builder.program(prepared.turbo_program()).build()
-    } else {
-        builder.engine(req.engine).build()
-    };
+    let mut m = SimSession::for_function(&prepared.func)
+        .config(cfg)
+        .engine(req.engine)
+        .build();
     for &(start, len) in map {
         m.memory_mut().map_region(start, len);
     }
@@ -985,7 +946,6 @@ fn simulate_response(
     w.str("bench", &bench)
         .str("model", &model_str(req.knobs.model))
         .u64("width", req.knobs.width as u64)
-        .str("engine", &req.engine.to_string())
         .str("outcome", &outcome_str)
         .u64("cycles", stats.cycles)
         .u64("issuing_cycles", stats.issuing_cycles)
@@ -1226,13 +1186,12 @@ done:
             ))
             .unwrap()
         };
-        let fast = mk("fast").run(&[]).unwrap();
+        let turbo = mk("turbo").run(&[]).unwrap();
         let interp = mk("interpreter").run(&[]).unwrap();
-        // Same run, modulo the engine name itself.
-        assert_eq!(
-            fast.replace("\"engine\":\"fast\"", ""),
-            interp.replace("\"engine\":\"interpreter\"", "")
-        );
+        assert_eq!(turbo, interp);
+        assert!(!turbo.contains("engine"), "{turbo}");
+        // The engine is not identity: both requests share one key.
+        assert_eq!(mk("turbo").cache_key(), mk("interpreter").cache_key());
     }
 
     #[test]

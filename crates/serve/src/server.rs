@@ -108,10 +108,10 @@ impl Default for ServerConfig {
 pub struct Handler {
     metrics: SharedMetrics,
     cache: Arc<ResponseCache>,
-    /// Decoded-program cache shared by every worker, keyed by schedule
+    /// Compiled-program cache shared by every worker, keyed by schedule
     /// hash: each distinct (program, model, width, recovery,
-    /// store-buffer) point is compiled — and, for turbo requests,
-    /// decoded — exactly once per process, across engines and replays.
+    /// store-buffer) point is compiled exactly once per process, across
+    /// engines, memory images and replays.
     /// Counts `sim.program_cache.{hit,miss,evict}` into `/metrics`.
     programs: SimProgramCache,
     workloads: Arc<Vec<Workload>>,
@@ -122,10 +122,10 @@ pub struct Handler {
     submitter: OnceLock<Submitter>,
 }
 
-/// Entry bound for the handler's decoded-program cache. Prepared
-/// programs are heavier than response bodies (a scheduled function
-/// plus, lazily, its decode), so the bound is its own knob rather than
-/// the response cache's.
+/// Entry bound for the handler's compiled-program cache. Prepared
+/// programs are heavier than response bodies (a whole scheduled
+/// function), so the bound is its own knob rather than the response
+/// cache's.
 const PROGRAM_CACHE_CAPACITY: usize = 512;
 
 impl Handler {

@@ -12,8 +12,9 @@
 //! the interpreter would walk, preserved so execution profiles and
 //! fell-off-the-end reporting stay bit-identical).
 //!
-//! The fast engine ([`fastpath`](crate::fastpath)) executes this form; the
-//! interpreter remains the differential-testing oracle.
+//! The turbo engine ([`TurboProgram`](crate::TurboProgram)) builds its
+//! trace-chained form from this one; the interpreter remains the timing
+//! oracle.
 //!
 //! [`Function`]: sentinel_prog::Function
 
@@ -78,7 +79,7 @@ pub(crate) struct DecodedInsn<'a> {
     pub fall: u32,
 }
 
-/// A function lowered for the fast engine: flat instructions, resolved
+/// A function lowered for the turbo engine: flat instructions, resolved
 /// control transfers, and dense scoreboard geometry.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedProgram<'a> {

@@ -7,12 +7,12 @@
 //! * [`exec`] — functional instruction semantics with the paper's trap
 //!   model (loads, stores, integer divide, all fp instructions),
 //! * [`SimSession`] — the session API: pick an [`Engine`], configure,
-//!   run. [`Engine::Interpreter`] is the block-walking [`Machine`];
-//!   [`Engine::Fast`] executes from a pre-decoded dense form;
-//!   [`Engine::Turbo`] executes an owned, shareable decode
-//!   ([`TurboProgram`]) with chained traces and fused micro-op pairs,
-//!   reusable across sessions through a [`ProgramCache`]. All three
-//!   route every architectural rule through [`sem`],
+//!   run. [`Engine::Interpreter`] is the block-walking [`Machine`], the
+//!   timing oracle; [`Engine::Turbo`] (the default) executes a decode
+//!   ([`TurboProgram`]) with chained traces and fused micro-op pairs.
+//!   Both route every architectural rule through [`sem`],
+//! * [`ProgramCache`] — a bounded, fill-once cache that lets callers
+//!   compile each schedule point once,
 //! * [`sem`] — the single-source-of-truth semantics layer: **Table 1**
 //!   (exception detection with sentinel scheduling), **Table 2**
 //!   (store-buffer insertion with probationary entries), boosting
@@ -63,7 +63,6 @@ pub mod stats;
 pub mod verify;
 
 mod decode;
-mod fastpath;
 mod machine;
 mod progcache;
 mod session;
@@ -73,9 +72,6 @@ mod turbo;
 mod engine_tests;
 #[cfg(test)]
 mod testutil;
-
-/// The store buffer module, re-exported at its historical path.
-pub use sem::storebuf;
 
 pub use except::{ExceptionKind, PcHistoryQueue, Trap};
 pub use machine::{Machine, Recovery, RunOutcome, SimConfig, SimError, TraceEvent};

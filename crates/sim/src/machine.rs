@@ -8,7 +8,7 @@
 //!
 //! The *architectural* semantics — what each instruction does to
 //! registers, tags, memory, the store buffer, and shadow (boosted)
-//! state — live in [`crate::sem`] and are shared verbatim with the fast
+//! state — live in [`crate::sem`] and are shared verbatim with the turbo
 //! engine. This module owns only the interpreter's timing model:
 //!
 //! * up to `issue_width` instructions issue per cycle, in order, with at

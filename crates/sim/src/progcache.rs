@@ -1,28 +1,28 @@
-//! A process-wide cache of decoded programs, keyed by spec hash.
+//! A process-wide cache of compiled programs, keyed by schedule hash.
 //!
-//! Decoding a scheduled function into a [`TurboProgram`]
-//! (`crate::TurboProgram`) is pure: the result depends only on the
-//! function and the machine description. The evaluation grid visits the
-//! same (benchmark, model, width) triple once per *cell*, and the serve
-//! pool once per *request* — so without a cache, both pay the decode
-//! (and, upstream, the schedule) over and over. `ProgramCache` makes
-//! the decode-once contract explicit: callers derive a stable `u64` key
-//! (in practice `sentinel_spec::JobSpec::schedule_hash`, which is
-//! engine-independent) and the first caller per key fills the entry
-//! while concurrent callers for the same key block on the fill instead
-//! of duplicating it.
+//! Scheduling a function is pure: the result depends only on the
+//! program and the schedule knobs. The evaluation grid visits the same
+//! (benchmark, model, width) triple once per *cell*, and the serve pool
+//! once per *request* — so without a cache, both pay the compile over
+//! and over. `ProgramCache` makes the compile-once contract explicit:
+//! callers derive a stable `u64` key (in practice
+//! `sentinel_spec::JobSpec::schedule_hash`, which is engine-independent)
+//! and the first caller per key fills the entry while concurrent callers
+//! for the same key block on the fill instead of duplicating it.
 //!
 //! The cache is bounded (least-recently-used eviction) and counts its
 //! traffic under the `sim.program_cache.*` metric family
 //! ([`sentinel_trace::sim`]), which serve republishes through
-//! `/metrics` and the bench grid asserts on in its decode-once tests.
+//! `/metrics` and the bench grid asserts on in its compile-once tests.
 //!
-//! The value type is generic: the grid caches a whole prepared
-//! measurement (scheduled function + pass log + lazily decoded turbo
-//! program), serve caches its own prepared form, and unit tests cache
-//! plain integers. Fallible fills are modeled by choosing a `Result`
-//! value type — errors are cached like any other value, keeping retry
-//! behavior deterministic.
+//! The value type is generic: the grid caches a prepared measurement
+//! (scheduled function + pass log), serve caches its own prepared form,
+//! and unit tests cache plain integers. Entries hold no decoded
+//! [`TurboProgram`](crate::TurboProgram): sessions decode per run, which
+//! keeps a full cache's resident memory to the scheduled functions.
+//! Fallible fills are modeled by choosing a `Result` value type — errors
+//! are cached like any other value, keeping retry behavior
+//! deterministic.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -40,7 +40,7 @@ struct Inner<V> {
     seq: u64,
 }
 
-/// A bounded, thread-safe, fill-once cache of decode results.
+/// A bounded, thread-safe, fill-once cache of compile results.
 ///
 /// Callers derive a stable `u64` key (in practice
 /// `sentinel_spec::JobSpec::schedule_hash`); the first caller per key

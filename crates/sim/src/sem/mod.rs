@@ -1,8 +1,8 @@
 //! The single-source-of-truth architectural semantics layer.
 //!
 //! Both execution engines — the block-walking interpreter
-//! ([`Machine`](crate::Machine)) and the pre-decoded fast loop behind
-//! [`Engine::Fast`](crate::Engine::Fast) — are *timing* machines: they
+//! ([`Machine`](crate::Machine)) and the trace-chaining loop behind
+//! [`Engine::Turbo`](crate::Engine::Turbo) — are *timing* machines: they
 //! decide when an instruction issues and what each stall costs. What an
 //! instruction *does* to architectural state is defined exactly once,
 //! here:

@@ -17,7 +17,7 @@
 //!
 //! let mut s = SimSession::for_function(&f)
 //!     .config(SimConfig::default())
-//!     .engine(Engine::Fast)
+//!     .engine(Engine::Interpreter)
 //!     .build();
 //! assert_eq!(s.run().unwrap(), RunOutcome::Halted);
 //! assert_eq!(s.reg(Reg::int(1)).as_i64(), 42);
@@ -25,11 +25,11 @@
 //!
 //! The [`Engine`] choice selects the execution strategy behind an
 //! otherwise identical surface: [`Engine::Interpreter`] walks the block
-//! graph instruction by instruction (the correctness oracle), while
-//! [`Engine::Fast`] (the default) runs the pre-decoded form produced by
-//! the one-time lowering pass. The differential suite holds the two to
-//! identical outcomes, statistics, architectural state, and trace-event
-//! streams.
+//! graph instruction by instruction (the timing oracle), while
+//! [`Engine::Turbo`] (the default) runs a [`TurboProgram`] decoded once
+//! per session. The differential suite holds the two to identical
+//! outcomes, statistics, architectural state, and trace-event streams,
+//! so the engine is a performance knob, never part of a job's identity.
 
 use std::sync::Arc;
 
@@ -39,7 +39,6 @@ use sentinel_prog::Function;
 use sentinel_trace::TraceSink;
 
 use crate::except::{PcHistoryQueue, Trap};
-use crate::fastpath::FastMachine;
 use crate::machine::{Machine, Recovery, RunOutcome, SimConfig, SimError, TraceEvent};
 use crate::memory::Memory;
 use crate::regfile::TaggedValue;
@@ -50,19 +49,12 @@ use crate::turbo::{TurboMachine, TurboProgram};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The interpretive machine: walks the block graph directly. Slower,
-    /// structurally simple — the differential-testing oracle.
+    /// structurally simple — the timing oracle.
     Interpreter,
-    /// The pre-decoded engine: one-time lowering to a dense program,
-    /// executed by a flat-pc loop. Semantically identical to the
-    /// interpreter and the default for measurement workloads.
+    /// The trace-chaining engine: a [`TurboProgram`] decode executed
+    /// with fused micro-op pairs and a ready-mask scoreboard.
+    /// Semantically identical to the interpreter, and the default.
     #[default]
-    Fast,
-    /// The trace-chaining engine: an *owned*, shareable decode
-    /// ([`TurboProgram`](crate::TurboProgram)) executed with fused
-    /// micro-op pairs and a ready-mask scoreboard. Semantically
-    /// identical to the other two; the throughput choice for large
-    /// grids, and the only engine whose decode can be reused through a
-    /// [`ProgramCache`](crate::ProgramCache).
     Turbo,
 }
 
@@ -70,7 +62,6 @@ impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Engine::Interpreter => write!(f, "interpreter"),
-            Engine::Fast => write!(f, "fast"),
             Engine::Turbo => write!(f, "turbo"),
         }
     }
@@ -82,11 +73,8 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "interpreter" | "interp" => Ok(Engine::Interpreter),
-            "fast" => Ok(Engine::Fast),
             "turbo" => Ok(Engine::Turbo),
-            other => Err(format!(
-                "unknown engine '{other}' (want interpreter|fast|turbo)"
-            )),
+            other => Err(format!("unknown engine '{other}' (want interpreter|turbo)")),
         }
     }
 }
@@ -108,7 +96,7 @@ impl<'a> SimSessionBuilder<'a> {
         self
     }
 
-    /// Selects the execution engine (default: [`Engine::Fast`]).
+    /// Selects the execution engine (default: [`Engine::Turbo`]).
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -124,9 +112,7 @@ impl<'a> SimSessionBuilder<'a> {
 
     /// Supplies a pre-decoded program (selects [`Engine::Turbo`]). The
     /// program must have been decoded from this builder's function with
-    /// the machine description the config will carry — callers reusing
-    /// decodes through a [`ProgramCache`](crate::ProgramCache) key on
-    /// exactly that pair.
+    /// the machine description the config will carry.
     #[must_use]
     pub fn program(mut self, prog: Arc<TurboProgram>) -> Self {
         self.engine = Engine::Turbo;
@@ -134,15 +120,13 @@ impl<'a> SimSessionBuilder<'a> {
         self
     }
 
-    /// Constructs the session. For [`Engine::Fast`] and
-    /// [`Engine::Turbo`] (without a shared [`TurboProgram`]) this
-    /// performs the one-time decode of the function.
+    /// Constructs the session. For [`Engine::Turbo`] without a supplied
+    /// [`TurboProgram`] this decodes the function.
     pub fn build(self) -> SimSession<'a> {
         let mut session = SimSession {
             engine: self.engine,
             inner: match self.engine {
                 Engine::Interpreter => Inner::Interp(Machine::create(self.func, self.config)),
-                Engine::Fast => Inner::Fast(FastMachine::new(self.func, self.config)),
                 Engine::Turbo => {
                     let prog = self.program.unwrap_or_else(|| {
                         Arc::new(TurboProgram::new(self.func, &self.config.mdes))
@@ -160,7 +144,6 @@ impl<'a> SimSessionBuilder<'a> {
 
 enum Inner<'a> {
     Interp(Machine<'a>),
-    Fast(FastMachine<'a>),
     Turbo(TurboMachine),
 }
 
@@ -178,14 +161,12 @@ macro_rules! delegate {
     ($self:ident, $m:ident $(, $arg:expr)*) => {
         match &$self.inner {
             Inner::Interp(m) => m.$m($($arg),*),
-            Inner::Fast(m) => m.$m($($arg),*),
             Inner::Turbo(m) => m.$m($($arg),*),
         }
     };
     (mut $self:ident, $m:ident $(, $arg:expr)*) => {
         match &mut $self.inner {
             Inner::Interp(m) => m.$m($($arg),*),
-            Inner::Fast(m) => m.$m($($arg),*),
             Inner::Turbo(m) => m.$m($($arg),*),
         }
     };
@@ -318,17 +299,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_to_fast_engine() {
+    fn builder_defaults_to_turbo_engine() {
         let f = demo();
         let s = SimSession::for_function(&f).build();
-        assert_eq!(s.engine(), Engine::Fast);
+        assert_eq!(s.engine(), Engine::Turbo);
+    }
+
+    #[test]
+    fn engine_names_round_trip_and_fast_is_rejected() {
+        for engine in [Engine::Interpreter, Engine::Turbo] {
+            assert_eq!(engine.to_string().parse::<Engine>(), Ok(engine));
+        }
+        let err = "fast".parse::<Engine>().unwrap_err();
+        assert!(err.contains("interpreter|turbo"), "{err}");
     }
 
     #[test]
     fn all_engines_run_and_agree() {
         let f = demo();
         let mut outcomes = Vec::new();
-        for engine in [Engine::Interpreter, Engine::Fast, Engine::Turbo] {
+        for engine in [Engine::Interpreter, Engine::Turbo] {
             let mut s = SimSession::for_function(&f).engine(engine).build();
             s.memory_mut().map_region(0x1000, 8);
             s.memory_mut().write_word(0x1000, 99).unwrap();
@@ -336,7 +326,6 @@ mod tests {
             outcomes.push((o, *s.stats(), s.reg(Reg::int(2)).data));
         }
         assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0], outcomes[2]);
         assert_eq!(outcomes[0].2, 99);
     }
 
@@ -369,7 +358,7 @@ mod tests {
         };
         let mut s = SimSession::for_function(&f)
             .config(cfg)
-            .engine(Engine::Fast)
+            .engine(Engine::Interpreter)
             .sink(Box::new(sentinel_trace::CollectSink::default()))
             .build();
         s.memory_mut().map_region(0x1000, 8);

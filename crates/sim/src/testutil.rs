@@ -1,7 +1,7 @@
 //! Shared test-support helpers for the in-crate engine tests.
 //!
 //! One copy of the machine descriptions and run harness that the
-//! interpreter, fast-engine, and sem-layer tests all use, instead of a
+//! interpreter, turbo-engine, and sem-layer tests all use, instead of a
 //! private near-duplicate per test module.
 
 use sentinel_isa::{Insn, MachineDesc, Opcode, Reg};

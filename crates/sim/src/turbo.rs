@@ -1,13 +1,13 @@
 //! The turbo execution engine: owned decode, chained traces, fused
 //! micro-ops, and a ready-mask scoreboard.
 //!
-//! [`TurboMachine`] is the third engine behind
+//! [`TurboMachine`] is the default engine behind
 //! [`SimSession`](crate::SimSession). It executes a [`TurboProgram`] —
-//! an *owned*, shareable lowering built on the same decode pass as the
-//! fast engine — with three additional optimizations, all confined to
+//! an *owned* lowering built on the dense decode pass of
+//! [`crate::decode`] — with three optimizations, all confined to
 //! dispatch (every architectural rule still routes through
-//! [`crate::sem`], and the timing model is byte-for-byte the fast
-//! engine's):
+//! [`crate::sem`], and the timing model is byte-for-byte the
+//! interpreter's):
 //!
 //! * **Superblock trace chaining** — control transfers are pre-resolved
 //!   at decode time to flat indices plus the exact block-entry chains
@@ -27,15 +27,13 @@
 //!   work instead of rescanning slot state per cycle.
 //!
 //! Because [`TurboProgram`] owns its instructions (no borrow of the
-//! scheduled [`Function`]), it can live in a
-//! [`ProgramCache`](crate::ProgramCache) and be shared across sessions,
-//! threads, and requests: decode once per (function, machine) pair per
-//! process, not once per run.
+//! scheduled [`Function`]), one decode can be `Arc`-shared by several
+//! sessions over the same function and machine.
 //!
 //! When a trace sink is attached or trace collection is on, the engine
 //! falls back to an instrumented per-instruction loop that mirrors the
-//! fast engine exactly (same events, same journal drain points); the
-//! differential suite and the seeded fuzzer hold all three engines to
+//! interpreter exactly (same events, same journal drain points); the
+//! differential suite and the seeded fuzzer hold both engines to
 //! identical outcomes, statistics, architectural state, and
 //! trace-event streams.
 
@@ -149,12 +147,10 @@ struct Meta {
 
 /// A function lowered into the turbo engine's owned, shareable form.
 ///
-/// Unlike the fast engine's borrowed decode, a `TurboProgram` owns a
-/// clone of every instruction, so it has no lifetime tie to the
-/// scheduled function and can be kept in a [`ProgramCache`]
-/// (`Arc`-shared across threads and sessions). Decode once, run many.
-///
-/// [`ProgramCache`]: crate::ProgramCache
+/// Unlike the borrowed dense decode it is built from, a
+/// `TurboProgram` owns a clone of every instruction, so it has no
+/// lifetime tie to the scheduled function and can be `Arc`-shared
+/// across threads and sessions.
 #[derive(Debug, Clone)]
 pub struct TurboProgram {
     /// Flat instruction array in layout order (the decode pass's flat
@@ -570,7 +566,7 @@ impl TurboMachine {
         let prog = Arc::clone(&self.prog);
         let mut pc = self.enter(&prog, prog.entry)?;
         loop {
-            // The instrumented loop mirrors the fast engine exactly
+            // The instrumented loop mirrors the interpreter exactly
             // (same event construction, same journal drain points); the
             // bare loop is the optimized path the instrumentation-free
             // common case runs on.

@@ -2,12 +2,15 @@
 //!
 //! A [`JobSpec`] pins down one unit of work — compile this source,
 //! simulate this benchmark, fuzz this seed — together with every knob
-//! that changes the answer (§5.1 machine model, issue width, engine,
-//! recovery constraint, store-buffer depth, data cache). Its
+//! that changes the answer (§5.1 machine model, issue width, recovery
+//! constraint, store-buffer depth, data cache). The execution engine is
+//! not one of them: the engines are held byte-identical by the
+//! differential suite, so the engine is a performance knob and never
+//! part of a job's identity. The
 //! [`canonical`](JobSpec::canonical) encoding is the *contract* shared
 //! by every cache in the repository: serve keys its response cache on
 //! it, the bench grid keys its persistent store on it, and fuzz repro
-//! lines print its hash. The encoding is versioned (`sentinel-spec/v1`)
+//! lines print its hash. The encoding is versioned (`sentinel-spec/v2`)
 //! and append-only: changing how an existing field renders silently
 //! splits every cache, so the golden-hash test in `tests/spec_keys.rs`
 //! pins a fixed set of specs to fixed hashes.
@@ -22,12 +25,12 @@ use std::fmt::{self, Write as _};
 use sentinel_core::SchedulingModel;
 use sentinel_isa::MachineDesc;
 use sentinel_sim::cache::CacheConfig;
-use sentinel_sim::Engine;
+use sentinel_sim::SpeculationSemantics;
 
 use crate::fnv64;
 
 /// Version prefix on every canonical encoding.
-pub const CANONICAL_PREFIX: &str = "sentinel-spec/v1";
+pub const CANONICAL_PREFIX: &str = "sentinel-spec/v2";
 
 /// What kind of work a [`JobSpec`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,27 +186,33 @@ pub fn model_str(model: SchedulingModel) -> String {
     }
 }
 
-/// Parse the canonical model spelling produced by [`model_str`].
-///
-/// Deliberately strict — this is the *encoding* parser. Friendly
-/// aliases ("restricted", lowercase tags) belong to the wire and CLI
-/// layers, which normalize before building a [`JobSpec`].
+/// Parse a model name: the spelling [`model_str`] produces (`R`, `G`,
+/// `S`, `T`, `B<k>`), a lowercase single-letter tag, or a long name
+/// (`restricted`, `general`, `sentinel`, `stores`). The CLI, the wire
+/// and the canonical encoding all parse models here; the encoding
+/// additionally insists on the [`model_str`] spelling.
 pub fn parse_model(s: &str) -> Result<SchedulingModel, SpecError> {
     match s {
-        "R" => Ok(SchedulingModel::RestrictedPercolation),
-        "G" => Ok(SchedulingModel::GeneralPercolation),
-        "S" => Ok(SchedulingModel::Sentinel),
-        "T" => Ok(SchedulingModel::SentinelStores),
-        other => {
-            if let Some(k) = other.strip_prefix('B') {
-                if let Ok(k) = k.parse::<u8>() {
-                    return Ok(SchedulingModel::Boosting(k));
-                }
-            }
-            Err(SpecError::new(format!(
+        "R" | "r" | "restricted" => Ok(SchedulingModel::RestrictedPercolation),
+        "G" | "g" | "general" => Ok(SchedulingModel::GeneralPercolation),
+        "S" | "s" | "sentinel" => Ok(SchedulingModel::Sentinel),
+        "T" | "t" | "stores" => Ok(SchedulingModel::SentinelStores),
+        other => match other.strip_prefix('B').and_then(|k| k.parse::<u8>().ok()) {
+            Some(k) => Ok(SchedulingModel::Boosting(k)),
+            None => Err(SpecError::new(format!(
                 "unknown model '{other}' (want R|G|S|T|B<k>)"
-            )))
-        }
+            ))),
+        },
+    }
+}
+
+/// The speculative-fault semantics a scheduling model runs under:
+/// general percolation loses exceptions by design (§2.2), every other
+/// model defers them through sentinel tags.
+pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
+    match model {
+        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
+        _ => SpeculationSemantics::SentinelTags,
     }
 }
 
@@ -225,7 +234,7 @@ fn pairs_digest(pairs: &[(u64, u64)]) -> String {
 
 /// A canonical description of one compile, simulate, or fuzz job.
 ///
-/// Fields that a given [`SpecKind`] does not consult (e.g. `engine`
+/// Fields that a given [`SpecKind`] does not consult (e.g. `cache`
 /// for a compile, `emit` for a simulate) are excluded from that kind's
 /// canonical encoding, so they cannot split cache keys. Notably
 /// `verify_passes` appears only in compile specs: inter-pass
@@ -242,8 +251,6 @@ pub struct JobSpec {
     pub model: SchedulingModel,
     /// Issue width of the machine.
     pub width: usize,
-    /// Execution engine (simulate only).
-    pub engine: Engine,
     /// §5.1 recovery-block constraint.
     pub recovery: bool,
     /// Store-buffer depth (simulate only).
@@ -270,7 +277,6 @@ impl JobSpec {
             program: ProgramRef::Source(source.into()),
             model,
             width,
-            engine: Engine::default(),
             recovery: false,
             store_buffer: default_store_buffer(width),
             cache: None,
@@ -281,16 +287,15 @@ impl JobSpec {
         }
     }
 
-    /// A simulate job with the §5.1 defaults: fast engine, no recovery
-    /// constraint, the paper machine's store-buffer depth, no data
-    /// cache, no extra memory image.
+    /// A simulate job with the §5.1 defaults: no recovery constraint,
+    /// the paper machine's store-buffer depth, no data cache, no extra
+    /// memory image.
     pub fn simulate(program: ProgramRef, model: SchedulingModel, width: usize) -> JobSpec {
         JobSpec {
             kind: SpecKind::Simulate,
             program,
             model,
             width,
-            engine: Engine::default(),
             recovery: false,
             store_buffer: default_store_buffer(width),
             cache: None,
@@ -301,9 +306,9 @@ impl JobSpec {
         }
     }
 
-    /// A fuzz job: one generator seed run on both engines. The engine
-    /// and memory knobs are fixed by the fuzz harness, so only the
-    /// seed, mix fractions, model, and width identify the job.
+    /// A fuzz job: one generator seed run on both engines. The memory
+    /// knobs are fixed by the fuzz harness, so only the seed, mix
+    /// fractions, model, and width identify the job.
     pub fn fuzz(
         seed: u64,
         model: SchedulingModel,
@@ -316,7 +321,6 @@ impl JobSpec {
             program: ProgramRef::Seeded { seed, alias, traps },
             model,
             width,
-            engine: Engine::default(),
             recovery: false,
             store_buffer: default_store_buffer(width),
             cache: None,
@@ -355,8 +359,7 @@ impl JobSpec {
                 };
                 let _ = write!(
                     s,
-                    "|engine={}|recovery={}|sb={}|cache={}|map={}|word={}",
-                    self.engine,
+                    "|recovery={}|sb={}|cache={}|map={}|word={}",
                     u8::from(self.recovery),
                     self.store_buffer,
                     cache,
@@ -375,14 +378,14 @@ impl JobSpec {
         fnv64(self.canonical().as_bytes())
     }
 
-    /// The engine-independent *schedule* key: [`fnv64`] over only the
-    /// fields the compiler consumes — program, model, width, the §5.1
-    /// recovery constraint, and the store-buffer depth (store-separation
-    /// retry consults it). Two jobs that differ only in engine, data
-    /// cache, memory image, or output knobs produce the identical
-    /// scheduled function, so the decoded-program cache keys on this
-    /// instead of [`content_hash`](JobSpec::content_hash) — a replayed
-    /// batch decodes once per schedule, not once per request.
+    /// The *schedule* key: [`fnv64`] over only the fields the compiler
+    /// consumes — program, model, width, the §5.1 recovery constraint,
+    /// and the store-buffer depth (store-separation retry consults it).
+    /// Two jobs that differ only in data cache, memory image, or output
+    /// knobs produce the identical scheduled function, so the
+    /// compiled-program cache keys on this instead of
+    /// [`content_hash`](JobSpec::content_hash) — a replayed batch
+    /// compiles once per schedule, not once per request.
     pub fn schedule_hash(&self) -> u64 {
         let mut s = String::with_capacity(96);
         s.push_str("sentinel-spec/sched1|prog=");
@@ -439,7 +442,14 @@ impl JobSpec {
         };
         let kind = SpecKind::parse(&next("kind")?)?;
         let program = ProgramRef::parse(&next("prog")?, source)?;
-        let model = parse_model(&next("model")?)?;
+        let model_field = next("model")?;
+        let model = parse_model(&model_field)?;
+        if model_str(model) != model_field {
+            return Err(SpecError::new(format!(
+                "model '{model_field}' is not in canonical spelling (want {})",
+                model_str(model)
+            )));
+        }
         let width = next("width")?
             .parse::<usize>()
             .map_err(|_| SpecError::new("bad width"))?;
@@ -463,7 +473,6 @@ impl JobSpec {
                 spec
             }
             SpecKind::Simulate => {
-                let engine = next("engine")?.parse::<Engine>().map_err(SpecError::new)?;
                 let recovery = parse_bool(next("recovery")?, "recovery")?;
                 let store_buffer = next("sb")?
                     .parse::<usize>()
@@ -494,7 +503,6 @@ impl JobSpec {
                     }
                 }
                 let mut spec = JobSpec::simulate(program, model, width);
-                spec.engine = engine;
                 spec.recovery = recovery;
                 spec.store_buffer = store_buffer;
                 spec.cache = cache;
@@ -536,9 +544,19 @@ mod tests {
         );
         assert_eq!(
             spec.canonical(),
-            "sentinel-spec/v1|kind=simulate|prog=suite:wc|model=S|width=4\
-             |engine=fast|recovery=0|sb=8|cache=-|map=-|word=-"
+            "sentinel-spec/v2|kind=simulate|prog=suite:wc|model=S|width=4\
+             |recovery=0|sb=8|cache=-|map=-|word=-"
         );
+    }
+
+    #[test]
+    fn v1_lines_and_engine_fields_are_rejected() {
+        let v1 = "sentinel-spec/v1|kind=simulate|prog=suite:wc|model=S|width=4\
+                  |engine=fast|recovery=0|sb=8|cache=-|map=-|word=-";
+        assert!(JobSpec::parse(v1).is_err());
+        let v2_with_engine = v1.replace("/v1", "/v2");
+        let err = JobSpec::parse(&v2_with_engine).unwrap_err();
+        assert!(err.to_string().contains("recovery"), "{err}");
     }
 
     #[test]
@@ -548,7 +566,6 @@ mod tests {
             SchedulingModel::Boosting(3),
             8,
         );
-        sim.engine = Engine::Interpreter;
         sim.recovery = true;
         sim.store_buffer = 16;
         sim.cache = Some(CacheConfig {
@@ -588,13 +605,13 @@ mod tests {
         );
         let mut widened = base.clone();
         widened.width = 8;
-        let mut interp = base.clone();
-        interp.engine = Engine::Interpreter;
+        let mut cached = base.clone();
+        cached.cache = Some(CacheConfig::small_l1(10));
         let mut recovered = base.clone();
         recovered.recovery = true;
         let mut mapped = base.clone();
         mapped.map.push((0x1000, 64));
-        let hashes: Vec<u64> = [&base, &widened, &interp, &recovered, &mapped]
+        let hashes: Vec<u64> = [&base, &widened, &cached, &recovered, &mapped]
             .iter()
             .map(|s| s.content_hash())
             .collect();
@@ -606,16 +623,15 @@ mod tests {
     }
 
     #[test]
-    fn schedule_hash_ignores_engine_but_splits_schedule_knobs() {
+    fn schedule_hash_ignores_run_knobs_but_splits_schedule_knobs() {
         let base = JobSpec::simulate(
             ProgramRef::Suite("wc".to_string()),
             SchedulingModel::Sentinel,
             4,
         );
-        // Engine, memory image, and data cache don't change the
-        // scheduled function: one decode serves them all.
+        // Memory image and data cache don't change the scheduled
+        // function: one compile serves them all.
         let mut other = base.clone();
-        other.engine = Engine::Turbo;
         other.map.push((0x1000, 64));
         other.cache = Some(CacheConfig {
             lines: 64,
@@ -666,10 +682,33 @@ mod tests {
         ] {
             assert_eq!(parse_model(&model_str(model)).unwrap(), model);
         }
-        assert!(
-            parse_model("sentinel").is_err(),
-            "encoding parser is strict"
-        );
+        for (alias, tag) in [
+            ("sentinel", "S"),
+            ("s", "S"),
+            ("restricted", "R"),
+            ("stores", "T"),
+        ] {
+            assert_eq!(parse_model(alias).unwrap(), parse_model(tag).unwrap());
+        }
+        assert!(parse_model("Bx").is_err());
+        assert!(parse_model("Q").is_err());
+        // The canonical encoding accepts only the model_str spelling.
+        let line = JobSpec::fuzz(1, SchedulingModel::Sentinel, 2, 0.0, 0.0).canonical();
+        assert!(JobSpec::parse(&line).is_ok());
+        let err = JobSpec::parse(&line.replace("model=S", "model=sentinel")).unwrap_err();
+        assert!(err.to_string().contains("canonical spelling"), "{err}");
+    }
+
+    #[test]
+    fn only_general_percolation_runs_silent() {
+        for model in SchedulingModel::all() {
+            let want = if model == SchedulingModel::GeneralPercolation {
+                SpeculationSemantics::Silent
+            } else {
+                SpeculationSemantics::SentinelTags
+            };
+            assert_eq!(semantics_for(model), want);
+        }
     }
 
     #[test]

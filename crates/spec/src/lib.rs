@@ -30,7 +30,7 @@ pub mod job;
 pub mod registry;
 pub mod store;
 
-pub use job::{model_str, parse_model, JobSpec, ProgramRef, SpecError, SpecKind};
+pub use job::{model_str, parse_model, semantics_for, JobSpec, ProgramRef, SpecError, SpecKind};
 pub use registry::ResolvedSpec;
 pub use store::{Store, StoreMetricNames};
 

@@ -10,7 +10,7 @@
 //! sentinel compile   prog.sasm --model S --issue 8 [--explain] [--verify-passes] [-o out.sasm]
 //!                    (or: --spec HASH|CANONICAL [--cache-dir DIR])
 //! sentinel simulate  --suite NAME | prog.sasm | --spec HASH|CANONICAL
-//!                    [--model M] [--issue N] [--engine fast|interpreter|turbo]
+//!                    [--model M] [--issue N] [--engine interpreter|turbo]
 //!                    [--recovery] [--cache-dir DIR]
 //! sentinel run       prog.sasm [--issue N] [--semantics tags|silent|nan]
 //!                    [--map START:LEN]... [--word ADDR=VAL]... [--reg rN=VAL]...
@@ -80,22 +80,7 @@ fn load_program(path: &str) -> Function {
 }
 
 fn parse_model(s: &str) -> SchedulingModel {
-    match s {
-        "R" | "restricted" => SchedulingModel::RestrictedPercolation,
-        "G" | "general" => SchedulingModel::GeneralPercolation,
-        "S" | "sentinel" => SchedulingModel::Sentinel,
-        "T" | "stores" => SchedulingModel::SentinelStores,
-        other => {
-            if let Some(k) = other.strip_prefix('B') {
-                let levels: u8 = k
-                    .parse()
-                    .unwrap_or_else(|_| fail(&format!("bad boosting level in '{other}'")));
-                SchedulingModel::Boosting(levels)
-            } else {
-                fail(&format!("unknown model '{other}' (R, G, S, T, or B<k>)"))
-            }
-        }
-    }
+    sentinel::spec::parse_model(s).unwrap_or_else(|e| fail(&e.to_string()))
 }
 
 fn parse_reg(s: &str) -> Reg {
@@ -424,6 +409,12 @@ fn cmd_compile(args: &Args) {
 fn cmd_simulate(args: &Args) {
     use sentinel::serve::api::ApiRequest;
     use sentinel::spec::{JobSpec, ProgramRef, Store};
+    // The engine picks how the job runs, not which job it is: it stays
+    // out of the spec and its hash.
+    let engine = args.flag("engine").map(|e| {
+        e.parse::<sentinel::sim::Engine>()
+            .unwrap_or_else(|e| bad_input(&e))
+    });
     let spec = if let Some(arg) = args.flag("spec") {
         resolve_spec_arg(args, arg)
     } else {
@@ -441,15 +432,13 @@ fn cmd_simulate(args: &Args) {
         if args.has("recovery") {
             spec.recovery = true;
         }
-        if let Some(e) = args.flag("engine") {
-            spec.engine = e
-                .parse::<sentinel::sim::Engine>()
-                .unwrap_or_else(|e| fail(&e));
-        }
         spec
     };
-    let req =
+    let mut req =
         ApiRequest::from_spec(&spec).unwrap_or_else(|e| fail(&format!("simulate: {}", e.message)));
+    if let (ApiRequest::Simulate(r), Some(engine)) = (&mut req, engine) {
+        r.engine = engine;
+    }
     let spec = req.to_spec();
     eprintln!("spec: {}", spec.hash_hex());
     record_spec(args, &spec);
@@ -673,7 +662,7 @@ fn cmd_trace(args: &Args) {
 }
 
 /// `sentinel fuzz`: run the seeded differential fuzzer — each case is a
-/// generated program executed on all three engines, every observable compared
+/// generated program executed on both engines, every observable compared
 /// byte-for-byte. Unpinned, seeds cycle through all four models at
 /// widths 1/2/4/8; `--model`/`--width` pin one axis for reproduction.
 fn cmd_fuzz(args: &Args) {
@@ -710,7 +699,8 @@ fn cmd_fuzz(args: &Args) {
     let seed = args.flag("seed").map_or(0, |s| parse_num(s) as u64);
     let count = args.flag("count").map_or(16, |s| parse_num(s) as u64);
     let model = args.flag("model").map(|s| {
-        sentinel::fuzz::parse_model(s)
+        Some(parse_model(s))
+            .filter(|m| SchedulingModel::all().contains(m))
             .unwrap_or_else(|| fail(&format!("unknown model '{s}' (R, G, S, or T)")))
     });
     let width = args.flag("width").map(|s| parse_num(s) as usize);
@@ -740,14 +730,14 @@ const USAGE: &str = "usage: sentinel <command> <file> [options]\n\
            disasm    print an object as text assembly\n\
            schedule  --model R|G|S|T|B<k> --issue N [--recovery] [--allocate] [--clear-uninit] [-o out]\n\
            compile   schedule via the instrumented pass manager [schedule's flags] [--explain] [--verify-passes] [--spec H] [--cache-dir DIR]\n\
-           simulate  one job, serve-identical JSON response: --suite NAME | FILE | --spec H [--model M] [--issue N] [--engine E] [--recovery] [--cache-dir DIR]\n\
+           simulate  one job, serve-identical JSON response: --suite NAME | FILE | --spec H [--model M] [--issue N] [--engine interpreter|turbo] [--recovery] [--cache-dir DIR]\n\
            pipeline  software-pipeline counted/while loops [-o out]\n\
            mdes      print the effective machine description [--mdes file] [--issue N]\n\
            run       [--issue N] [--semantics tags|silent|nan] [--map S:L]… [--word A=V]… [--reg rN=V]… [--print rN]… [--stats] [--trace]\n\
            trace     --model R|G|S|T|B<k> --issue N --format timeline|jsonl|chrome [--raw] [--recovery] [-o out] [run's machine flags]\n\
            reproduce regenerate the paper's tables/figures [fig4|fig5|summary|…|all] [--csv] [--jobs N] [--cache-dir DIR]\n\
            serve     networked compile-and-simulate service [--addr HOST] [--port N] [--workers N] [--queue N] [--cache N] [--cache-dir PATH]\n\
-           fuzz      differential fuzzer: all three engines, byte-identical observables [--seed N] [--count M] [--model R|G|S|T] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
+           fuzz      differential fuzzer: interpreter vs turbo, byte-identical observables [--seed N] [--count M] [--model R|G|S|T] [--width W] [--alias F] [--traps F] [--spec H] [--cache-dir DIR]\n\
            version   print the version (also --version)\n\
            --help    print this usage on stdout (also -h)";
 

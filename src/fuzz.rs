@@ -1,16 +1,14 @@
-//! The seeded differential fuzzer: generated programs, all three
-//! engines, byte-identical observations.
+//! The seeded differential fuzzer: generated programs, both engines,
+//! byte-identical observations.
 //!
 //! A fuzz case is `(seed, model, width, alias_frac, trap_frac)`. The seed
 //! fully determines the generated program and its memory image
 //! ([`sentinel_workloads::fuzz_spec`]); the case is scheduled under the
-//! given model, run on the interpreter, the fast engine, and the turbo
+//! given model, run on the interpreter (the timing oracle) and the turbo
 //! engine, and every observable — run outcome, statistics, final
 //! registers *with exception tags*, full memory, the `TraceEvent` log,
 //! and the pipeline event stream from an attached sink — must match
-//! exactly pairwise (the interpreter is the oracle both optimized
-//! engines are compared against). Any divergence is reported with a
-//! one-command repro line naming the engine pair.
+//! exactly. Any divergence is reported with a one-command repro line.
 //!
 //! Entry points: [`run_case`] for a single case, [`run_batch`] for a
 //! seed sweep (the CLI `sentinel fuzz` and `tests/fuzz_differential.rs`
@@ -21,10 +19,8 @@ use std::sync::{Arc, Mutex};
 use sentinel_core::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel_isa::{MachineDesc, Reg};
 use sentinel_prog::Function;
-use sentinel_sim::{
-    Engine, RunOutcome, SimConfig, SimError, SimSession, SpeculationSemantics, Stats, TraceEvent,
-};
-use sentinel_spec::{JobSpec, ProgramRef, SpecKind};
+use sentinel_sim::{Engine, RunOutcome, SimConfig, SimError, SimSession, Stats, TraceEvent};
+use sentinel_spec::{semantics_for, JobSpec, ProgramRef, SpecKind};
 use sentinel_trace::{Event, TraceSink};
 use sentinel_workloads::{generate, try_fuzz_spec, Workload};
 
@@ -96,27 +92,6 @@ impl FuzzCase {
     fn spec_lines(&self) -> String {
         let spec = self.spec();
         format!("  spec: {}\n        {}", spec.hash_hex(), spec.canonical())
-    }
-}
-
-/// Parses a paper model tag (`R`, `G`, `S`, `T`, case-insensitive).
-pub fn parse_model(tag: &str) -> Option<SchedulingModel> {
-    match tag.to_ascii_uppercase().as_str() {
-        "R" => Some(SchedulingModel::RestrictedPercolation),
-        "G" => Some(SchedulingModel::GeneralPercolation),
-        "S" => Some(SchedulingModel::Sentinel),
-        "T" => Some(SchedulingModel::SentinelStores),
-        _ => None,
-    }
-}
-
-/// The speculation semantics each model is simulated under (general
-/// percolation loses exceptions by design; every other model defers via
-/// sentinel tags).
-pub fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
     }
 }
 
@@ -259,19 +234,17 @@ pub fn run_case(case: &FuzzCase) -> Result<(), String> {
     cfg.semantics = semantics_for(case.model);
     cfg.collect_trace = true;
     let interp = observe(&sched.func, &cfg, &mdes, &w, Engine::Interpreter);
-    for engine in [Engine::Fast, Engine::Turbo] {
-        let other = observe(&sched.func, &cfg, &mdes, &w, engine);
-        if interp != other {
-            return Err(format!(
-                "engines diverged (interpreter vs {engine}; seed {}, model {}, width {})\n  first divergence: {}\n{}\n  repro: {}",
-                case.seed,
-                case.model.tag(),
-                case.width,
-                describe_divergence("interpreter", &interp, &engine.to_string(), &other),
-                case.spec_lines(),
-                case.repro_command()
-            ));
-        }
+    let turbo = observe(&sched.func, &cfg, &mdes, &w, Engine::Turbo);
+    if interp != turbo {
+        return Err(format!(
+            "engines diverged (interpreter vs turbo; seed {}, model {}, width {})\n  first divergence: {}\n{}\n  repro: {}",
+            case.seed,
+            case.model.tag(),
+            case.width,
+            describe_divergence("interpreter", &interp, "turbo", &turbo),
+            case.spec_lines(),
+            case.repro_command()
+        ));
     }
     Ok(())
 }
@@ -369,10 +342,12 @@ mod tests {
 
     #[test]
     fn model_tags_roundtrip() {
+        // The CLI parses `--model` with the shared parser; every fuzzed
+        // model's repro tag must read back as itself.
         for m in SchedulingModel::all() {
-            assert_eq!(parse_model(m.tag()), Some(m));
+            assert_eq!(sentinel_spec::parse_model(m.tag()), Ok(m));
         }
-        assert_eq!(parse_model("x"), None);
+        assert!(sentinel_spec::parse_model("x").is_err());
     }
 
     #[test]

@@ -351,6 +351,43 @@ fn reproduce_subcommand_delegates_to_bench_cli() {
 }
 
 #[test]
+fn retired_fast_engine_exits_2_naming_the_engines() {
+    for args in [
+        &["reproduce", "fig4", "--engine", "fast"][..],
+        &["simulate", "--suite", "wc", "--engine", "fast"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown engine 'fast'"), "{stderr}");
+        assert!(stderr.contains("interpreter|turbo"), "{stderr}");
+    }
+}
+
+#[test]
+fn simulate_engine_changes_neither_spec_nor_response() {
+    let run = |engine: &str| {
+        let out = bin()
+            .args([
+                "simulate", "--suite", "wc", "--issue", "2", "--engine", engine,
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, out.stderr)
+    };
+    let (interp_out, interp_err) = run("interpreter");
+    let (turbo_out, turbo_err) = run("turbo");
+    assert_eq!(interp_out, turbo_out);
+    assert_eq!(interp_err, turbo_err, "same spec hash on both engines");
+    assert!(!String::from_utf8_lossy(&turbo_out).contains("engine"));
+}
+
+#[test]
 fn boosting_model_from_cli() {
     let dir = tmpdir("boost");
     let p = write_demo(&dir);

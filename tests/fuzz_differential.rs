@@ -1,7 +1,7 @@
-//! Seeded differential fuzzing: ≥1,000 generated programs through all
-//! three engines (interpreter, fast, turbo), asserting byte-identical
+//! Seeded differential fuzzing: ≥1,000 generated programs through both
+//! engines (interpreter and turbo), asserting byte-identical
 //! observations (outcome, stats, final registers with tags, memory,
-//! `TraceEvent` log, pipeline event stream) for each optimized engine
+//! `TraceEvent` log, pipeline event stream) for the turbo engine
 //! against the interpretive oracle.
 //!
 //! Each seed fully determines the program; failures print a one-command

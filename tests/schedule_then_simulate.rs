@@ -10,7 +10,8 @@ use sentinel::prelude::*;
 use sentinel::sched::{schedule_function, SchedOptions, SchedulingModel};
 use sentinel::sim::reference::{RefOutcome, Reference};
 use sentinel::sim::verify::{compare_runs, CompareSpec};
-use sentinel::sim::{RunOutcome, SpeculationSemantics};
+use sentinel::sim::RunOutcome;
+use sentinel::spec::semantics_for;
 use sentinel_isa::LatencyTable;
 
 /// Memory initialization shared by a machine run and a reference run.
@@ -36,13 +37,6 @@ impl MemInit {
         for &(a, v) in &self.words {
             mem.write_word(a, v).unwrap();
         }
-    }
-}
-
-fn semantics_for(model: SchedulingModel) -> SpeculationSemantics {
-    match model {
-        SchedulingModel::GeneralPercolation => SpeculationSemantics::Silent,
-        _ => SpeculationSemantics::SentinelTags,
     }
 }
 

@@ -439,38 +439,60 @@ fn http_simulate_response_is_byte_identical_to_in_process() {
     handle.shutdown();
 }
 
-/// The decode-once contract over HTTP: a batch mixing engines over the
-/// same jobs compiles each schedule point once (the engine does not
-/// split the program-cache key), a byte-identical replay short-circuits
-/// at the response cache without disturbing those counters, and
-/// `/metrics` exposes the `sim_program_cache_*` family.
+/// The compile-once contract over HTTP: a batch mixing the two engines
+/// over one inline program with distinct memory images compiles the
+/// program once (neither the engine nor the memory image splits the
+/// program-cache key), a repeat of one job on the other engine is a
+/// response-cache hit (the engine is not part of a job's identity), a
+/// byte-identical replay short-circuits at the response cache without
+/// disturbing the program-cache counters, and `/metrics` exposes the
+/// `sim_program_cache_*` family.
 #[test]
 fn replayed_batch_reports_program_cache_hits() {
+    const SOURCE: &str = "func @mem {\\nentry:\\n    li r1, 0x1000\\n    ld r2, 0(r1)\\n    \
+                          addi r3, r2, 1\\n    st r3, 8(r1)\\n    halt\\n}\\n";
     let handle = start(test_config()).unwrap();
     let addr = handle.addr().to_string();
     let metrics = handle.metrics();
     let mut client = Client::new(&addr);
 
-    let mut jobs = String::from(r#"{"v":1,"jobs":["#);
-    for (i, engine) in ["fast", "turbo", "interpreter"].iter().enumerate() {
-        for (j, suite) in ["wc", "cmp"].iter().enumerate() {
-            if i + j > 0 {
-                jobs.push(',');
-            }
-            jobs.push_str(&format!(
-                r#"{{"kind":"simulate","suite":"{suite}","model":"S","width":4,"engine":"{engine}"}}"#
-            ));
-        }
-    }
-    jobs.push_str("]}");
+    // `engine` is optional: absent means the default (turbo).
+    let job = |engine: Option<&str>, word: u64| {
+        let engine = engine.map_or(String::new(), |e| format!(r#","engine":"{e}""#));
+        format!(
+            r#"{{"kind":"simulate","source":"{SOURCE}","model":"S","width":4{engine},"map":[[4096,64]],"word":[[4096,{word}]]}}"#
+        )
+    };
+    let bodies: Vec<String> = [None, Some("interpreter"), Some("turbo"), None]
+        .into_iter()
+        .enumerate()
+        .map(|(i, engine)| job(engine, i as u64))
+        .collect();
+    let jobs = format!(r#"{{"v":1,"jobs":[{}]}}"#, bodies.join(","));
 
-    // First batch: 6 jobs over 2 schedule points — 2 compiles, 4
-    // program-cache hits (the three engines share each compile).
+    // First batch: 4 jobs, 4 response keys, 1 schedule point — one
+    // compile and 3 program-cache hits, with and without an engine
+    // field.
     let resp = client.post_json("/v1/batch", &jobs).unwrap();
     assert_eq!(resp.status, 200);
+    assert!(!resp.body.contains("error"), "{}", resp.body);
     let first = metrics.snapshot();
-    assert_eq!(first.counter(SIM_PROGRAM_CACHE_MISS), 2);
-    assert_eq!(first.counter(SIM_PROGRAM_CACHE_HIT), 4);
+    assert_eq!(first.counter(SIM_PROGRAM_CACHE_MISS), 1);
+    assert_eq!(first.counter(SIM_PROGRAM_CACHE_HIT), 3);
+
+    // The same job on the other engine is the same job: served from
+    // the response cache, byte for byte.
+    let mut single = |engine: &str| {
+        let body = job(Some(engine), 0).replace(r#""kind":"simulate","#, "");
+        client.post_json("/v1/simulate", &body).unwrap().body
+    };
+    let turbo = single("turbo");
+    assert_eq!(turbo, single("interpreter"));
+    assert!(!turbo.contains("engine"), "{turbo}");
+    let after_single = metrics.snapshot();
+    assert!(after_single.counter(CACHE_HIT) >= 2);
+    assert_eq!(after_single.counter(SIM_PROGRAM_CACHE_MISS), 1);
+    assert_eq!(after_single.counter(SIM_PROGRAM_CACHE_HIT), 3);
 
     // Byte-identical replay: served by the response cache, so the
     // program cache is not consulted again — and still reports > 0.
@@ -481,20 +503,44 @@ fn replayed_batch_reports_program_cache_hits() {
         second.counter(CACHE_HIT) >= 6,
         "replay missed the response cache"
     );
-    assert_eq!(second.counter(SIM_PROGRAM_CACHE_MISS), 2);
+    assert_eq!(second.counter(SIM_PROGRAM_CACHE_MISS), 1);
     assert!(second.counter(SIM_PROGRAM_CACHE_HIT) > 0);
 
     let text = client.get("/metrics").unwrap();
     assert!(
-        text.body.contains("sim_program_cache_hit 4"),
+        text.body.contains("sim_program_cache_hit 3"),
         "{}",
         text.body
     );
     assert!(
-        text.body.contains("sim_program_cache_miss 2"),
+        text.body.contains("sim_program_cache_miss 1"),
         "{}",
         text.body
     );
+    drop(client);
+    handle.shutdown();
+}
+
+/// The retired `fast` engine name is a 400 naming the engines that
+/// remain, on the single endpoint and inside a batch.
+#[test]
+fn retired_engine_name_is_rejected_with_400() {
+    let handle = start(test_config()).unwrap();
+    let addr = handle.addr().to_string();
+    let mut client = one_shot(&addr);
+    let resp = client
+        .post_json("/v1/simulate", r#"{"suite":"wc","engine":"fast"}"#)
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("interpreter|turbo"), "{}", resp.body);
+    let resp = client
+        .post_json(
+            "/v1/batch",
+            r#"{"v":1,"jobs":[{"kind":"simulate","suite":"wc","engine":"fast"}]}"#,
+        )
+        .unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("interpreter|turbo"), "{}", resp.body);
     drop(client);
     handle.shutdown();
 }

@@ -18,7 +18,6 @@
 use sentinel::bench::grid::Cell;
 use sentinel::serve::api::{ApiRequest, JobKind};
 use sentinel::sim::cache::CacheConfig;
-use sentinel::sim::Engine;
 use sentinel::spec::{JobSpec, ProgramRef};
 use sentinel_core::SchedulingModel;
 
@@ -37,7 +36,7 @@ fn corpus() -> Vec<JobSpec> {
         4,
     ));
     // The most shared grid point: the base machine.
-    specs.push(Cell::paper("cmp", SchedulingModel::RestrictedPercolation, 1).spec(Engine::Fast));
+    specs.push(Cell::paper("cmp", SchedulingModel::RestrictedPercolation, 1).spec());
     // Every simulate knob off its default.
     let mut knobbed = Cell::paper("grep", SchedulingModel::SentinelStores, 8);
     knobbed.recovery = true;
@@ -47,7 +46,7 @@ fn corpus() -> Vec<JobSpec> {
         line_bytes: 32,
         miss_penalty: 20,
     });
-    specs.push(knobbed.spec(Engine::Interpreter));
+    specs.push(knobbed.spec());
     // Source program with a memory image.
     let mut src = JobSpec::simulate(
         ProgramRef::Source(SOURCE.into()),
@@ -122,7 +121,7 @@ fn serve_and_bench_derive_identical_simulate_keys() {
     let req = ApiRequest::from_json(JobKind::Simulate, r#"{"suite":"wc","model":"S","width":4}"#)
         .unwrap();
     let cell = Cell::paper("wc", SchedulingModel::Sentinel, 4);
-    assert_eq!(req.cache_key(), cell.spec(Engine::Fast).canonical());
+    assert_eq!(req.cache_key(), cell.spec().canonical());
 
     // And with non-default knobs on both sides.
     let req = ApiRequest::from_json(
@@ -132,7 +131,17 @@ fn serve_and_bench_derive_identical_simulate_keys() {
     .unwrap();
     let mut cell = Cell::paper("grep", SchedulingModel::SentinelStores, 8);
     cell.recovery = true;
-    assert_eq!(req.cache_key(), cell.spec(Engine::Interpreter).canonical());
+    assert_eq!(req.cache_key(), cell.spec().canonical());
+
+    // The engine is not part of a job's identity: the same job on the
+    // other engine has the same key.
+    let turbo = ApiRequest::from_json(
+        JobKind::Simulate,
+        r#"{"suite":"grep","model":"T","width":8,"recovery":true,"engine":"turbo"}"#,
+    )
+    .unwrap();
+    assert_eq!(turbo.cache_key(), req.cache_key());
+    assert!(!req.cache_key().contains("engine"));
 }
 
 #[test]
